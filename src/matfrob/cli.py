@@ -84,6 +84,20 @@ def _require_fn(args):
     return parse_function_expression(args.fn)
 
 
+def _synthesize_from_spec(args, doc, tol):
+    """Factored-form document to (name, matrix, factors).
+
+    A document without a transform gets a random orthogonal one drawn from
+    --seed.
+    """
+    name, spec, transform = parse_spec_document(doc)
+    if transform is None:
+        rng = np.random.default_rng(args.seed)
+        transform = random_orthogonal(rng, spec.total_dimension)
+    a, factors = synthesize_matrix(spec, transform, tol)
+    return name, a, factors
+
+
 def _load_as_factors(args, tol):
     """Either document kind to factored form: (name, matrix, factors)."""
     doc = load_document(args.input)
@@ -92,12 +106,7 @@ def _load_as_factors(args, tol):
         factors = extract_diagonalizable_structure(a, tol)
         return name, a, factors
     if is_spec_document(doc):
-        name, spec, transform = parse_spec_document(doc)
-        if transform is None:
-            rng = np.random.default_rng(args.seed)
-            transform = random_orthogonal(rng, spec.total_dimension)
-        a, factors = synthesize_matrix(spec, transform, tol)
-        return name, a, factors
+        return _synthesize_from_spec(args, doc, tol)
     raise MatFrobError(
         f"{args.input}: document is neither a matrix (rows) nor a factored "
         "form (real_blocks / complex_blocks)"
@@ -162,12 +171,8 @@ def cmd_verify(args) -> int:
             f"{args.input}: verify needs a factored-form document "
             "(real_blocks / complex_blocks)"
         )
-    name, spec, transform = parse_spec_document(doc)
-    if transform is None:
-        rng = np.random.default_rng(args.seed)
-        transform = random_orthogonal(rng, spec.total_dimension)
-    a, factors = synthesize_matrix(spec, transform, tol)
-    check = defined_on_spectrum(f, spec, tol)
+    name, a, factors = _synthesize_from_spec(args, doc, tol)
+    check = defined_on_spectrum(f, factors.spec)
     if not check:
         raise MatFrobError(
             f"{args.fn} is not usable on this spectrum: {check.reason}. "
@@ -196,11 +201,7 @@ def cmd_synthesize(args) -> int:
             f"{args.input}: synthesize needs a factored-form document "
             "(real_blocks / complex_blocks)"
         )
-    name, spec, transform = parse_spec_document(doc)
-    if transform is None:
-        rng = np.random.default_rng(args.seed)
-        transform = random_orthogonal(rng, spec.total_dimension)
-    a, factors = synthesize_matrix(spec, transform, tol)
+    name, a, factors = _synthesize_from_spec(args, doc, tol)
     _emit_document(args, matrix_document(name, a))
     _report_line(
         args,

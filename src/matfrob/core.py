@@ -26,7 +26,6 @@ __all__ = [
     "require_square",
     "norm_inf",
     "max_abs",
-    "mat_mul",
     "mat_inverse",
     "condition_estimate",
     "eigen_decompose",
@@ -74,15 +73,6 @@ class Tolerance:
         a = complex(a)
         b = complex(b)
         return abs(a - b) <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))
-
-    def eq_matrix(self, a, b) -> bool:
-        """Entrywise tolerance-equality; False on shape mismatch."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.shape != b.shape:
-            return False
-        bound = self.abs_eps + self.rel_eps * np.maximum(np.abs(a), np.abs(b))
-        return bool(np.all(np.abs(a - b) <= bound))
 
 
 DEFAULT_TOL = Tolerance()
@@ -135,19 +125,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(m)))
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    ma = np.asarray(a)
-    mb = np.asarray(b)
-    if ma.ndim != 2 or mb.ndim != 2:
-        raise DimensionMismatchError("mat_mul expects 2-d operands")
-    if ma.shape[1] != mb.shape[0]:
-        raise DimensionMismatchError(
-            f"inner dimensions do not match: {ma.shape} @ {mb.shape}"
-        )
-    return ma @ mb
-
-
 def condition_estimate(a) -> float:
     """2-norm condition number from singular values; inf when singular."""
     m = np.asarray(a, dtype=complex)
@@ -179,47 +156,15 @@ def mat_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise SingularMatrixError(str(exc)) from exc
 
 
-def _pair_conjugates(w: np.ndarray) -> np.ndarray:
-    """Enforce exact conjugate symmetry on the spectrum of a real matrix.
-
-    The real LAPACK path already emits exact pairs, so this ordinarily
-    only snaps stray imaginary dust; the greedy pair-and-average pass is a
-    safety net against asymmetry of rounding order.
-    """
-    w = np.array(w, dtype=complex)
-    if w.size == 0:
-        return w
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    snap = 1e-12 * scale
-    im = w.imag.copy()
-    im[np.abs(im) <= snap] = 0.0
-    w = w.real + 1j * im
-    pos = [i for i in range(len(w)) if w[i].imag > 0.0]
-    neg = [i for i in range(len(w)) if w[i].imag < 0.0]
-    used: set[int] = set()
-    for i in pos:
-        best_j, best_d = -1, np.inf
-        for j in neg:
-            if j in used:
-                continue
-            d = abs(w[i] - np.conj(w[j]))
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0 and best_d <= 1e-8 * scale:
-            avg = 0.5 * (w[i] + np.conj(w[best_j]))
-            w[i] = avg
-            w[best_j] = np.conj(avg)
-            used.add(best_j)
-    return w
-
-
 def eigen_decompose(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of a square matrix.
 
-    Returns ``(w, v)`` with ``a @ v[:, k] ~= w[k] * v[:, k]``. Real input is
-    decomposed through the real path, so its spectrum is closed under
-    conjugation exactly (pairing enforced, tiny imaginary parts snapped).
-    Eigenvector columns have unit 2-norm.
+    Returns ``(w, v)`` with ``a @ v[:, k] ~= w[k] * v[:, k]``, as LAPACK
+    computes them. Real input is decomposed through the real path, which
+    returns real eigenvalues with exactly zero imaginary part and each
+    complex pair as exact conjugates in adjacent slots, positive imaginary
+    part first, with conjugate eigenvectors. Eigenvector columns have unit
+    2-norm.
     """
     m = as_complex_matrix(a)
     require_square(m)
@@ -228,7 +173,6 @@ def eigen_decompose(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     try:
         if np.all(m.imag == 0.0):
             w, v = np.linalg.eig(m.real)
-            w = _pair_conjugates(np.asarray(w, dtype=complex))
         else:
             w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:

@@ -43,7 +43,6 @@ __all__ = [
     "parse_spec_document",
     "spec_document",
     "parse_function_expression",
-    "format_function_expression",
 ]
 
 
@@ -270,8 +269,3 @@ def parse_function_expression(text: str) -> SpectralFunction:
     if len(parsed) == 1 and parsed[0][0] == 1.0:
         return parsed[0][1]
     return ScaledSum(tuple(parsed))
-
-
-def format_function_expression(f: SpectralFunction) -> str:
-    """Round-trip rendering: parse(format(f)) reproduces f."""
-    return f.describe()

@@ -389,16 +389,14 @@ class CheckResult:
         return self.ok
 
 
-def defined_on_spectrum(
-    f: SpectralFunction, spec: JordanSpec, tol: Tolerance = DEFAULT_TOL
-) -> CheckResult:
+def defined_on_spectrum(f: SpectralFunction, spec: JordanSpec) -> CheckResult:
     """Whether every value/derivative the Jordan structure needs exists.
 
     An eigenvalue of index m needs f^(j) for j = 0..m-1. On failure the
     witness carries the offending eigenvalue and the first missing order.
     """
     cap = f.max_derivative_order()
-    for lam, index in spec.distinct_eigenvalues(tol):
+    for lam, index in spec.distinct_eigenvalues():
         if not f.domain.contains(lam):
             return CheckResult(
                 False, (lam, 0), f"{lam} is outside the domain of {f.describe()}"
@@ -495,7 +493,7 @@ def matrix_function(
     larger raises NonRealResultError (the function is not real on this
     spectrum).
     """
-    check = defined_on_spectrum(f, factors.spec, tol)
+    check = defined_on_spectrum(f, factors.spec)
     if not check:
         raise NotDefinedOnSpectrumError(check.reason)
     blocks: list[np.ndarray] = []

@@ -108,29 +108,20 @@ class JordanSpec:
             out.extend([lam.conjugate()] * n)
         return out
 
-    def distinct_eigenvalues(
-        self, tol: Tolerance = DEFAULT_TOL
-    ) -> list[tuple[complex, int]]:
+    def distinct_eigenvalues(self) -> list[tuple[complex, int]]:
         """Distinct eigenvalues with their index (largest block size seen).
 
-        Tolerance-equal eigenvalues are grouped; conjugate partners of the
-        complex blocks appear as their own entries.
+        Eigenvalues are grouped by exact value, since spec eigenvalues are
+        exact data; conjugate partners of the complex blocks appear as
+        their own entries.
         """
-        groups: list[list] = []
-
-        def add(lam: complex, size: int) -> None:
-            for g in groups:
-                if tol.eq(g[0], lam):
-                    g[1] = max(g[1], size)
-                    return
-            groups.append([lam, size])
-
+        index: dict[complex, int] = {}
         for lam, n in self.real_blocks:
-            add(complex(lam), n)
+            index[complex(lam)] = max(index.get(complex(lam), 0), n)
         for lam, n in self.complex_blocks:
-            add(lam, n)
-            add(lam.conjugate(), n)
-        return [(lam, size) for lam, size in groups]
+            for z in (lam, lam.conjugate()):
+                index[z] = max(index.get(z, 0), n)
+        return list(index.items())
 
 
 def jordan_block(lam: complex, size: int) -> np.ndarray:
@@ -297,7 +288,9 @@ def extract_diagonalizable_structure(
     1e-6 * ||A||_inf are clustered, and a cluster whose eigenvector block is
     rank deficient (so numerically defective) raises DefectiveMatrixError
     telling the caller to supply explicit factors via synthesize_matrix
-    instead.
+    instead. Each conjugate pair is read from its member with positive
+    imaginary part, whose eigenvector's real and imaginary parts span the
+    pair's real invariant subspace.
     """
     m = as_real_matrix(a)
     require_square(m)
@@ -321,41 +314,18 @@ def extract_diagonalizable_structure(
     real_cols: list[np.ndarray] = []
     pair_lams: list[complex] = []
     pair_cols: list[tuple[np.ndarray, np.ndarray]] = []
-    consumed = np.zeros(len(w), dtype=bool)
-    for i in range(len(w)):
-        if consumed[i]:
-            continue
-        lam = w[i]
-        if lam.imag == 0.0:
-            col = v[:, i]
-            k = int(np.argmax(np.abs(col)))
-            col = col / col[k]
-            real_lams.append(float(lam.real))
-            real_cols.append(col.real.copy())
-            consumed[i] = True
-            continue
-        # find the conjugate partner (adjacent on the LAPACK path)
-        best_j, best_d = -1, np.inf
-        for j in range(len(w)):
-            if consumed[j] or j == i or w[j].imag == 0.0:
-                continue
-            d = abs(w[j] - np.conj(lam))
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j < 0 or best_d > 1e-8 * max(1.0, scale):
-            raise DefectiveMatrixError(
-                f"complex eigenvalue {lam:.6g} has no conjugate partner in the "
-                "computed spectrum; extraction cannot proceed"
-            )
-        rep_i = i if lam.imag > 0.0 else best_j
-        rep = w[rep_i]
-        col = v[:, rep_i]
+    for i, lam in enumerate(w):
+        if lam.imag < 0.0:
+            continue  # exact conjugate of the pair member read just before
+        col = v[:, i]
         k = int(np.argmax(np.abs(col)))
         col = col / col[k]
-        pair_lams.append(complex(rep))
-        pair_cols.append((col.real.copy(), col.imag.copy()))
-        consumed[i] = True
-        consumed[best_j] = True
+        if lam.imag == 0.0:
+            real_lams.append(float(lam.real))
+            real_cols.append(col.real.copy())
+        else:
+            pair_lams.append(complex(lam))
+            pair_cols.append((col.real.copy(), col.imag.copy()))
 
     spec = JordanSpec(
         real_blocks=tuple((lam, 1) for lam in real_lams),

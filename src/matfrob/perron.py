@@ -377,10 +377,11 @@ def frobenius_check(
             notes.append(f"{_fmt_complex(z)} is outside the domain of {f.describe()}")
             return
         val = f.eval(z)
-        defect = abs(val.conjugate() - f.eval(z.conjugate()))
+        val_at_conj = f.eval(z.conjugate())
+        defect = abs(val.conjugate() - val_at_conj)
         if conj_worst is None or defect > conj_worst[1]:
             conj_worst = (z, defect)
-        if not tol.eq(val.conjugate(), f.eval(z.conjugate())):
+        if not tol.eq(val.conjugate(), val_at_conj):
             conj_ok = False
         if f_rho_real is not None and abs(z) < rho - tol.abs_eps:
             gap = f_rho_real - abs(val)

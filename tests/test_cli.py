@@ -6,6 +6,8 @@ import pytest
 from matfrob.cli import main
 from matfrob.documents import dump_document, load_document, parse_matrix_document
 
+from helpers import split_double_eigenvalue_matrix
+
 
 def write_matrix(tmp_path, rows, name="m"):
     path = tmp_path / f"{name}.json"
@@ -145,6 +147,13 @@ class TestApply:
         assert captured.err == ""
         name, fa = parse_matrix_document(load_document(out_doc))
         assert fa.shape == (2, 2)
+
+    def test_split_semisimple_double_eigenvalue(self, tmp_path, capsys):
+        a, _, _ = split_double_eigenvalue_matrix()
+        code = main(["apply", write_matrix(tmp_path, a.tolist()), "--fn", "exp"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        json.loads(captured.out)
 
     def test_missing_fn(self, tmp_path, capsys):
         code = main(["apply", write_matrix(tmp_path, GOLDEN)])

@@ -12,7 +12,6 @@ from matfrob import (
     condition_estimate,
     eigen_decompose,
     mat_inverse,
-    mat_mul,
 )
 from matfrob.core import as_real_matrix, max_abs, norm_inf
 
@@ -49,31 +48,6 @@ class TestTolerance:
     def test_eq_symmetric(self, a, b):
         tol = Tolerance(abs_eps=1e-6, rel_eps=1e-6)
         assert tol.eq(a, b) == tol.eq(b, a)
-
-    def test_eq_matrix(self):
-        tol = Tolerance()
-        a = np.eye(3)
-        assert tol.eq_matrix(a, a + 1e-10)
-        assert not tol.eq_matrix(a, a + 1e-6)
-        assert not tol.eq_matrix(a, np.eye(2))
-
-
-class TestMatMul:
-    def test_identity(self):
-        x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(mat_mul(np.eye(2), x), x)
-
-    def test_hand_product(self):
-        # B @ B worked out by hand
-        np.testing.assert_array_equal(mat_mul(B, B), [[6.0, 1.0], [2.0, 3.0]])
-
-    def test_rotation_squares_to_minus_identity(self):
-        r = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        np.testing.assert_array_equal(mat_mul(r, r), -np.eye(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            mat_mul(np.eye(2), np.eye(3))
 
 
 class TestMatInverse:
@@ -141,10 +115,15 @@ class TestEigenDecompose:
         rng = np.random.default_rng(11)
         for n in range(2, 9):
             a = rng.standard_normal((n, n))
-            w, _ = eigen_decompose(a)
+            w, v = eigen_decompose(a)
             ws = sorted(w, key=lambda z: (z.real, z.imag))
             cs = sorted(np.conj(w), key=lambda z: (z.real, z.imag))
             assert ws == cs  # exact equality, not approximate
+            # extraction reads each pair from its upper member and relies on
+            # the lower one following it with the conjugate eigenvector
+            for i in np.flatnonzero(w.imag < 0.0):
+                assert i > 0 and w[i - 1] == np.conj(w[i])
+                np.testing.assert_array_equal(v[:, i - 1], np.conj(v[:, i]))
 
     def test_eigenpair_residual(self):
         rng = np.random.default_rng(13)

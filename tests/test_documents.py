@@ -16,7 +16,6 @@ from matfrob.documents import (
     DocumentFormatError,
     ExpressionError,
     dump_document,
-    format_function_expression,
     is_matrix_document,
     is_spec_document,
     load_document,
@@ -188,5 +187,5 @@ class TestExpressionParsing:
 
     def test_format_parse_round_trip(self):
         for f in full_catalogue() + [NEGATE, Polynomial((1 / 3, -2.0, 1e-17))]:
-            text = format_function_expression(f)
+            text = f.describe()
             assert parse_function_expression(text) == f

@@ -33,7 +33,12 @@ from matfrob import (
 from matfrob.jordan import block_diag
 from matfrob.sampling import random_orthogonal, random_pf_factors
 
-from helpers import assert_multiset_close, differentiable_catalogue, random_domain_points
+from helpers import (
+    assert_multiset_close,
+    differentiable_catalogue,
+    random_domain_points,
+    split_double_eigenvalue_matrix,
+)
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 
@@ -204,6 +209,13 @@ class TestDefinedOnSpectrum:
         spec = JordanSpec(real_blocks=((-1.0, 2),))
         assert defined_on_spectrum(PrincipalRoot(3), spec)
 
+    @pytest.mark.parametrize("order", [(1e-10, 0.0), (0.0, 1e-10)])
+    def test_excluded_origin_not_hidden_by_a_near_eigenvalue(self, order):
+        spec = JordanSpec(real_blocks=((2.0, 1),) + tuple((x, 1) for x in order))
+        check = defined_on_spectrum(PrincipalRoot(3), spec)
+        assert not check
+        assert check.witness == (0j, 0)
+
 
 class TestFuncJordanBlock:
     def test_exp_at_zero_size3(self):
@@ -278,6 +290,15 @@ class TestMatrixFunction:
     def test_identity_function_reconstructs(self):
         factors = extract_diagonalizable_structure(B)
         np.testing.assert_allclose(matrix_function(factors, Monomial(1)), B, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [70, 123, 317])
+    def test_split_semisimple_double_eigenvalue(self, seed):
+        # LAPACK returns the double eigenvalue 1 as a pair 1 +- ~1e-16 i;
+        # its two eigenvector columns must stay independent through extraction
+        a, r, lams = split_double_eigenvalue_matrix(seed)
+        got = matrix_function(extract_diagonalizable_structure(a), Exp())
+        want = r @ np.diag(np.exp(lams)) @ np.linalg.inv(r)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_fourth_power_of_golden(self):
         factors = extract_diagonalizable_structure(B)
