@@ -156,7 +156,7 @@ def mat_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise SingularMatrixError(str(exc)) from exc
 
 
-def eigen_decompose(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of a square matrix.
 
     Returns ``(w, v)`` with ``a @ v[:, k] ~= w[k] * v[:, k]``, as LAPACK

@@ -290,11 +290,14 @@ def extract_diagonalizable_structure(
     telling the caller to supply explicit factors via synthesize_matrix
     instead. Each conjugate pair is read from its member with positive
     imaginary part, whose eigenvector's real and imaginary parts span the
-    pair's real invariant subspace.
+    pair's real invariant subspace. A pair with imaginary part at most
+    1e-12 * max(rho(A), 1) is a real double eigenvalue that rounding split:
+    it becomes two real eigenvalues at its real part, with the same two
+    spanning columns.
     """
     m = as_real_matrix(a)
     require_square(m)
-    w, v = eigen_decompose(m, tol)
+    w, v = eigen_decompose(m)
     scale = norm_inf(m)
     for idx in _cluster_indices(w, 1e-6 * scale):
         if len(idx) == 1:
@@ -314,6 +317,7 @@ def extract_diagonalizable_structure(
     real_cols: list[np.ndarray] = []
     pair_lams: list[complex] = []
     pair_cols: list[tuple[np.ndarray, np.ndarray]] = []
+    split = 1e-12 * max(float(np.max(np.abs(w))), 1.0)
     for i, lam in enumerate(w):
         if lam.imag < 0.0:
             continue  # exact conjugate of the pair member read just before
@@ -323,6 +327,10 @@ def extract_diagonalizable_structure(
         if lam.imag == 0.0:
             real_lams.append(float(lam.real))
             real_cols.append(col.real.copy())
+        elif lam.imag <= split:
+            # a real semisimple double eigenvalue split by rounding
+            real_lams.extend([float(lam.real)] * 2)
+            real_cols.extend([col.real.copy(), col.imag.copy()])
         else:
             pair_lams.append(complex(lam))
             pair_cols.append((col.real.copy(), col.imag.copy()))

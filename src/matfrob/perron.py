@@ -117,9 +117,9 @@ class PerronReport:
         return "\n".join(lines)
 
 
-def spectral_radius(a, tol: Tolerance = DEFAULT_TOL) -> float:
+def spectral_radius(a) -> float:
     """Largest eigenvalue magnitude."""
-    w, _ = eigen_decompose(as_real_matrix(a), tol)
+    w, _ = eigen_decompose(as_real_matrix(a))
     return float(np.max(np.abs(w)))
 
 
@@ -132,7 +132,7 @@ def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     """
     m = as_real_matrix(a)
     require_square(m)
-    w, v = eigen_decompose(m, tol)
+    w, v = eigen_decompose(m)
     rho = float(np.max(np.abs(w)))
     rho_positive = rho > tol.abs_eps
 
@@ -233,7 +233,7 @@ def power_threshold(a, k_max: int, tol: Tolerance = DEFAULT_TOL) -> int | None:
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    rho = spectral_radius(m, tol)
+    rho = spectral_radius(m)
     base = m / rho if rho > tol.abs_eps else m
     flags = []
     power = np.eye(base.shape[0])

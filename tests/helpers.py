@@ -60,9 +60,10 @@ def random_domain_points(rng, f, count, radius=2.0):
     return pts
 
 
-def split_double_eigenvalue_matrix(seed=70):
-    """A = R diag(3, 1, 1, mu) R^-1 whose semisimple double eigenvalue 1
-    LAPACK returns as a conjugate pair with imaginary parts of rounding size.
+def split_double_eigenvalue_matrix(seed=70, lam=1.0):
+    """A = R diag(3, lam, lam, mu) R^-1 whose semisimple double eigenvalue
+    lam LAPACK returns as a conjugate pair with imaginary parts of rounding
+    size.
 
     R = Q diag(d) with Q orthogonal (QR of a seeded Gaussian), d ~ U(0.6, 1.8)
     and mu ~ U(-2, 2). Returns (A, R, eigenvalues). The split is asserted
@@ -71,11 +72,10 @@ def split_double_eigenvalue_matrix(seed=70):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     r = q * rng.uniform(0.6, 1.8, 4)
-    lams = np.array([3.0, 1.0, 1.0, rng.uniform(-2.0, 2.0)])
+    lams = np.array([3.0, lam, lam, rng.uniform(-2.0, 2.0)])
     a = r @ np.diag(lams) @ np.linalg.inv(r)
     w = np.linalg.eig(a)[0]
     rho = np.max(np.abs(w))
     split = (np.abs(w.imag) > 0.0) & (np.abs(w.imag) <= 1e-12 * rho)
     assert np.count_nonzero(split) == 2, w
     return a, r, lams
-

@@ -155,6 +155,18 @@ class TestApply:
         assert code == 0, captured.err
         json.loads(captured.out)
 
+    @pytest.mark.parametrize(
+        "fn, reason",
+        [("root:2", "outside the domain"), ("root:3", "not real-valued")],
+    )
+    def test_split_double_eigenvalue_on_a_branch_cut(self, tmp_path, capsys, fn, reason):
+        a, _, _ = split_double_eigenvalue_matrix(62, lam=-1.0)
+        code = main(["apply", write_matrix(tmp_path, a.tolist()), "--fn", fn])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert reason in captured.err
+
     def test_missing_fn(self, tmp_path, capsys):
         code = main(["apply", write_matrix(tmp_path, GOLDEN)])
         assert code == 2

@@ -300,6 +300,19 @@ class TestMatrixFunction:
         want = r @ np.diag(np.exp(lams)) @ np.linalg.inv(r)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("seed", [62, 117, 173])
+    def test_split_double_eigenvalue_on_a_branch_cut(self, seed):
+        # the double eigenvalue -1 comes back as -1 +- ~1e-16 i; it must be
+        # judged as the real eigenvalue it is, not as a pair off the cut
+        a, _, lams = split_double_eigenvalue_matrix(seed, lam=-1.0)
+        assert lams[3] > 0.0  # -1 is the only eigenvalue on the cut
+        factors = extract_diagonalizable_structure(a)
+        assert factors.spec.complex_blocks == ()
+        with pytest.raises(NotDefinedOnSpectrumError):
+            matrix_function(factors, PrincipalRoot(2))
+        with pytest.raises(NonRealResultError):
+            matrix_function(factors, PrincipalRoot(3))
+
     def test_fourth_power_of_golden(self):
         factors = extract_diagonalizable_structure(B)
         np.testing.assert_allclose(
