@@ -18,7 +18,13 @@ import sys
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MatFrobError, Tolerance, condition_estimate
+from .core import (
+    DEFAULT_TOL,
+    MatFrobError,
+    PreconditionError,
+    Tolerance,
+    condition_estimate,
+)
 from .documents import (
     dump_document,
     is_matrix_document,
@@ -127,7 +133,7 @@ def cmd_check_evpos(args) -> int:
     tol = _tolerance(args)
     name, a = parse_matrix_document(load_document(args.input))
     report = eventually_positive_check(a, tol)
-    threshold = power_threshold(a, args.kmax, tol)
+    threshold = power_threshold(a, args.kmax)
     print(f"matrix: {name}")
     print(report.format_text())
     if threshold is None:
@@ -171,7 +177,7 @@ def cmd_verify(args) -> int:
             f"{args.input}: verify needs a factored-form document "
             "(real_blocks / complex_blocks)"
         )
-    name, a, factors = _synthesize_from_spec(args, doc, tol)
+    name, _, factors = _synthesize_from_spec(args, doc, tol)
     check = defined_on_spectrum(f, factors.spec)
     if not check:
         raise MatFrobError(
@@ -179,14 +185,12 @@ def cmd_verify(args) -> int:
             "Choose a function defined (with enough derivatives) at every "
             "eigenvalue."
         )
-    a_report = strong_pf_check(a, tol)
-    if not a_report.overall:
+    try:
+        result = verify_preservation_theorem(factors, f, tol)
+    except PreconditionError as exc:
         raise MatFrobError(
-            "the synthesized matrix lacks the strong Perron-Frobenius property "
-            f"(failed: {', '.join(a_report.failed_conditions())}); the "
-            "preservation comparison needs it as a baseline"
-        )
-    result = verify_preservation_theorem(factors, f, tol)
+            f"{exc}; the preservation comparison needs it as a baseline"
+        ) from exc
     print(f"matrix: {name}   function: {args.fn}")
     print(result.format_text())
     _write_report(args, {"name": name, "fn": args.fn, "result": result.to_dict()})

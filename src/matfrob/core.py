@@ -82,6 +82,7 @@ def as_real_matrix(a) -> np.ndarray:
     """Validate and return `a` as a 2-d float64 array.
 
     Complex input is accepted only when its imaginary part is exactly zero.
+    Non-finite entries raise PreconditionError.
     """
     m = np.asarray(a)
     if np.iscomplexobj(m):
@@ -91,6 +92,12 @@ def as_real_matrix(a) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise PreconditionError(
+            f"expected a finite matrix, got {m[i, j]} at [{i}, {j}]"
+        )
     return m
 
 

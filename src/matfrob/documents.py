@@ -15,6 +15,7 @@ poly:c0,c1,... with real coefficients.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -87,14 +88,32 @@ def is_spec_document(doc: dict) -> bool:
     return "real_blocks" in doc or "complex_blocks" in doc
 
 
+_NUMBER_TYPES = {float, int}
+
+
+def _as_float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if x > 0 else -math.inf
+
+
 def _number(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise DocumentFormatError(f"{where}: expected a number, got {x!r}")
-    return float(x)
+    value = _as_float(x)
+    if not math.isfinite(value):
+        raise DocumentFormatError(f"{where}: expected a finite number, got {x!r}")
+    return value
 
 
 def parse_matrix_document(doc: dict) -> tuple[str, np.ndarray]:
-    """Validate a matrix document; returns (name, square check left to caller)."""
+    """Validate a matrix document; returns (name, square check left to caller).
+
+    Entries must be finite numbers. Rows are type-checked as a whole and
+    converted in one array build; only a row holding some other type is
+    walked entry by entry, to name it.
+    """
     name = doc.get("name", "matrix")
     if not isinstance(name, str):
         raise DocumentFormatError(f"name must be a string, got {name!r}")
@@ -102,7 +121,6 @@ def parse_matrix_document(doc: dict) -> tuple[str, np.ndarray]:
     if not isinstance(rows, list) or not rows:
         raise DocumentFormatError("rows must be a nonempty list of lists")
     width = None
-    data = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise DocumentFormatError(f"rows[{i}] must be a nonempty list")
@@ -112,8 +130,21 @@ def parse_matrix_document(doc: dict) -> tuple[str, np.ndarray]:
             raise DocumentFormatError(
                 f"rows[{i}] has {len(row)} entries, expected {width}"
             )
-        data.append([_number(x, f"rows[{i}]") for x in row])
-    return name, np.array(data, dtype=float)
+        if not set(map(type, row)) <= _NUMBER_TYPES:
+            for x in row:
+                if type(x) not in _NUMBER_TYPES:
+                    _number(x, f"rows[{i}]")
+    try:
+        data = np.array(rows, dtype=float)
+    except OverflowError:
+        data = np.array([[_as_float(x) for x in row] for row in rows])
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise DocumentFormatError(
+            f"rows[{i}][{j}]: expected a finite number, got {rows[i][j]!r}"
+        )
+    return name, data
 
 
 def matrix_document(name: str, a) -> dict:

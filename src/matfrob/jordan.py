@@ -258,7 +258,11 @@ def synthesize_matrix(
 
 
 def _cluster_indices(w: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clusters of eigenvalues at the given radius."""
+    """Single-linkage clusters of eigenvalues at the given radius.
+
+    The close pairs come from one vectorized distance test; only they are
+    united.
+    """
     n = len(w)
     parent = list(range(n))
 
@@ -268,10 +272,9 @@ def _cluster_indices(w: np.ndarray, radius: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(w[i] - w[j]) < radius:
-                parent[find(i)] = find(j)
+    close = np.triu(np.abs(w[:, None] - w[None, :]) < radius, k=1)
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(close))):
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

@@ -16,6 +16,7 @@ matrix-level outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .core import (
     Tolerance,
     as_real_matrix,
     eigen_decompose,
+    max_abs,
     norm_inf,
     require_square,
 )
@@ -123,16 +125,12 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(w)))
 
 
-def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
-    """Measure the five strong Perron-Frobenius conditions on a real matrix.
+def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
+    """The five conditions on the spectrum w of a matrix with norm `scale`.
 
-    Simplicity and dominance are decided against the eigenvalue cluster
-    within 1e-6 * ||A||_inf of rho, so a numerically split multiple
-    eigenvalue is still recognized as one.
+    ``eigvec_at(idx)`` returns an eigenvector for w[idx], the eigenvalue
+    nearest rho; it is called only when that eigenvalue equals rho.
     """
-    m = as_real_matrix(a)
-    require_square(m)
-    w, v = eigen_decompose(m)
     rho = float(np.max(np.abs(w)))
     rho_positive = rho > tol.abs_eps
 
@@ -143,14 +141,14 @@ def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     eigvec = None
     eigvec_positive = False
     if rho_in_spectrum:
-        col = v[:, idx]
+        col = eigvec_at(idx)
         k = int(np.argmax(np.abs(col)))
         col = col / col[k]
         vec = col.real.copy()
         eigvec = vec
         eigvec_positive = bool(np.all(vec > tol.abs_eps))
 
-    cluster_radius = 1e-6 * norm_inf(m)
+    cluster_radius = 1e-6 * scale
     in_cluster = dist <= cluster_radius
     simple = rho_in_spectrum and int(np.sum(in_cluster)) == 1
     others = w[~in_cluster]
@@ -183,6 +181,42 @@ def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     )
 
 
+def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
+    """Measure the five strong Perron-Frobenius conditions on a real matrix.
+
+    Simplicity and dominance are decided against the eigenvalue cluster
+    within 1e-6 * ||A||_inf of rho, so a numerically split multiple
+    eigenvalue is still recognized as one.
+    """
+    m = as_real_matrix(a)
+    require_square(m)
+    w, v = eigen_decompose(m)
+    return _perron_report(w, lambda idx: v[:, idx], norm_inf(m), tol)
+
+
+def _left_perron_vector(m: np.ndarray, rho: float, x: np.ndarray) -> np.ndarray:
+    """Left eigenvector of m at rho, given the right eigenvector x.
+
+    Solves the real bordered system [[m^T - rho I, x], [x^T, 0]] [y; mu] =
+    [0; 1], which is nonsingular exactly when rho is simple; then mu = 0
+    and m^T y = rho y with x^T y = 1. When rho is not simple the report
+    fails on that count anyway, so an exactly singular system falls back
+    to x.
+    """
+    n = m.shape[0]
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = m.T
+    bordered[range(n), range(n)] -= rho
+    bordered[:n, n] = x
+    bordered[n, :n] = x
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    try:
+        return np.linalg.solve(bordered, rhs)[:n]
+    except np.linalg.LinAlgError:
+        return x
+
+
 @dataclass(frozen=True)
 class EventualPositivityReport:
     """Two-sided strong Perron-Frobenius verdict (matrix and transpose)."""
@@ -213,39 +247,63 @@ class EventualPositivityReport:
 def eventually_positive_check(
     a, tol: Tolerance = DEFAULT_TOL
 ) -> EventualPositivityReport:
-    """Eventual positivity via the two-sided strong Perron-Frobenius test."""
+    """Eventual positivity via the two-sided strong Perron-Frobenius test.
+
+    A is eventually positive iff A and A^T are both strong
+    Perron-Frobenius. A^T has A's spectrum, so one eigendecomposition of A
+    serves both sides; the transpose side reads its vector from the left
+    Perron vector (see _left_perron_vector) and keeps its own cluster
+    radius, 1e-6 * ||A^T||_inf.
+    """
     m = as_real_matrix(a)
-    r1 = strong_pf_check(m, tol)
-    r2 = strong_pf_check(m.T, tol)
+    require_square(m)
+    w, v = eigen_decompose(m)
+    r1 = _perron_report(w, lambda idx: v[:, idx], norm_inf(m), tol)
+    r2 = _perron_report(
+        w,
+        lambda idx: _left_perron_vector(m, float(w[idx].real), r1.eigvec),
+        norm_inf(m.T),
+        tol,
+    )
     return EventualPositivityReport(r1.overall and r2.overall, r1, r2)
 
 
-def power_threshold(a, k_max: int, tol: Tolerance = DEFAULT_TOL) -> int | None:
+def _power_of_two_scaled(a: np.ndarray, size: float) -> np.ndarray:
+    """a times the power of two that brings `size` into [0.5, 1); exact."""
+    return np.ldexp(a, -math.frexp(size)[1])
+
+
+def power_threshold(a, k_max: int) -> int | None:
     """Brute-force positivity threshold by explicit powers.
 
     Returns the smallest p such that A^k is entrywise strictly positive for
-    every p <= k <= k_max, or None when A^k_max itself is not positive.
-    Powers are computed on A / rho to keep magnitudes near 1; positivity is
-    scale invariant.
+    every p <= k <= k_max. Returns None unless A^(k_max - 1) and A^k_max
+    are both positive (for k_max = 1, unless A is): two consecutive
+    positive powers A^p, A^(p+1) prove eventual positivity, since every
+    m >= p^2 - p is a sum of copies of p and p + 1, while one positive
+    power alone does not (the even powers of -A can all be positive).
+    Positivity is scale invariant, so A is scaled once by a power of two
+    near ||A||_inf, making ||A^k||_inf non-increasing, and every 8th power
+    again against underflow. Powers of two scale exactly, so every sign is
+    the sign of the unscaled float64 product.
     """
     m = as_real_matrix(a)
     require_square(m)
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    rho = spectral_radius(m)
-    base = m / rho if rho > tol.abs_eps else m
-    flags = []
+    base = _power_of_two_scaled(m, norm_inf(m))
     power = np.eye(base.shape[0])
-    for _ in range(k_max):
+    last_nonpositive = 0
+    for k in range(1, k_max + 1):
         power = power @ base
-        flags.append(bool(np.all(power > 0.0)))
-    if not flags[-1]:
+        if k % 8 == 0:
+            power = _power_of_two_scaled(power, max_abs(power))
+        if not (power > 0.0).all():
+            last_nonpositive = k
+    if last_nonpositive >= max(k_max - 1, 1):
         return None
-    p = k_max
-    while p > 1 and flags[p - 2]:
-        p -= 1
-    return p
+    return last_nonpositive + 1
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,27 @@ class TestCheckEvpos:
         assert "power threshold: none up to k_max = 3" in out
         assert "DEFECT" in out
 
+    def test_negated_golden_has_no_defect(self, tmp_path, capsys):
+        # only the even powers of -B are positive; neither side may call it
+        # eventually positive
+        negated = [[-x for x in row] for row in GOLDEN]
+        code = main(["check-evpos", write_matrix(tmp_path, negated)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "eventually positive: NO" in out
+        assert "power threshold: none up to k_max = 64" in out
+        assert "DEFECT" not in out
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, literal):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": [[1.0, 2.0], [%s, 1.0]]}' % literal)
+        code = main(["check-evpos", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "rows[1][0]: expected a finite number" in captured.err
+
 
 class TestApply:
     def test_power_document_on_stdout(self, tmp_path, capsys):
@@ -258,6 +279,20 @@ class TestVerify:
         assert code == 2
         assert "baseline" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_spec_rejected(self, tmp_path, capsys, literal):
+        path = tmp_path / "s.json"
+        path.write_text('{"real_blocks": [{"lambda": %s}]}' % literal)
+        assert main(["verify", str(path), "--fn", "exp"]) == 2
+        assert "real_blocks[0].lambda: expected a finite number" in (
+            capsys.readouterr().err
+        )
+        path.write_text(
+            '{"real_blocks": [{"lambda": 2.0}], "transform": [[%s]]}' % literal
+        )
+        assert main(["synthesize", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_matrix_document_rejected(self, tmp_path, capsys):
         code = main([
             "verify", write_matrix(tmp_path, GOLDEN), "--fn", "exp"
@@ -326,3 +361,39 @@ class TestParser:
     def test_command_required(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestEigendecompositionCounts:
+    """One eigendecomposition per matrix that needs one."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import matfrob.jordan
+        import matfrob.perron
+
+        calls = []
+        for module in (matfrob.perron, matfrob.jordan):
+            original = module.eigen_decompose
+
+            def counting(a, _original=original):
+                calls.append(np.shape(a))
+                return _original(a)
+
+            monkeypatch.setattr(module, "eigen_decompose", counting)
+        return calls
+
+    def test_check_evpos_decomposes_once(self, tmp_path, capsys, counted):
+        assert main(["check-evpos", write_matrix(tmp_path, GOLDEN)]) == 0
+        assert len(counted) == 1
+
+    def test_check_pf_decomposes_once(self, tmp_path, capsys, counted):
+        assert main(["check-pf", write_matrix(tmp_path, GOLDEN)]) == 0
+        assert len(counted) == 1
+
+    def test_verify_decomposes_a_and_f_of_a(self, tmp_path, capsys, counted):
+        assert main(["verify", write_spec(tmp_path, PF_SPEC), "--fn", "exp"]) == 0
+        assert len(counted) == 2
+
+    def test_apply_decomposes_once(self, tmp_path, capsys, counted):
+        assert main(["apply", write_matrix(tmp_path, GOLDEN), "--fn", "exp"]) == 0
+        assert len(counted) == 1

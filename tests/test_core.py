@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from matfrob import (
     DimensionMismatchError,
+    PreconditionError,
     SingularMatrixError,
     Tolerance,
     condition_estimate,
@@ -151,6 +152,13 @@ class TestValidators:
     def test_as_real_rejects_imag(self):
         with pytest.raises(ValueError):
             as_real_matrix(np.array([[1.0 + 1e-16j]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_as_real_rejects_non_finite(self, value):
+        m = np.ones((2, 3))
+        m[1, 2] = value
+        with pytest.raises(PreconditionError, match=r"finite.*\[1, 2\]"):
+            as_real_matrix(m)
 
     def test_as_real_accepts_zero_imag(self):
         m = as_real_matrix(np.array([[2.0 + 0j]]))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -61,6 +62,31 @@ class TestMatrixDocuments:
         with pytest.raises(DocumentFormatError, match="number"):
             parse_matrix_document({"rows": [[True]]})
 
+    def test_first_bad_entry_named(self):
+        with pytest.raises(DocumentFormatError) as exc:
+            parse_matrix_document({"rows": [[1, 2], [3, None], ["x", 4]]})
+        assert str(exc.value) == "rows[1]: expected a number, got None"
+        with pytest.raises(DocumentFormatError, match=r"rows\[0\]: .*\[1\]"):
+            parse_matrix_document({"rows": [[1, [1]]]})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rejected(self, tmp_path, literal):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": [[1, 2, 3], [4, 5, %s]]}' % literal)
+        with pytest.raises(DocumentFormatError) as exc:
+            parse_matrix_document(load_document(path))
+        assert str(exc.value) == (
+            f"rows[1][2]: expected a finite number, got {float(literal)!r}"
+        )
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(DocumentFormatError, match=r"rows\[0\]\[1\]: .*finite"):
+            parse_matrix_document({"rows": [[1, -(10**400)]]})
+
+    def test_float_subclass_entries_accepted(self):
+        _, a = parse_matrix_document({"rows": [[np.float64(0.5), 2]]})
+        assert a.tolist() == [[0.5, 2.0]]
+
     def test_empty_rejected(self):
         with pytest.raises(DocumentFormatError):
             parse_matrix_document({"rows": []})
@@ -113,6 +139,25 @@ class TestSpecDocuments:
         doc = {"complex_blocks": [{"re": 1.0, "im": -1.0, "size": 1}]}
         with pytest.raises(DocumentFormatError, match="positive"):
             parse_spec_document(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"real_blocks": [{"lambda": "V"}]}, "real_blocks[0].lambda"),
+            ({"complex_blocks": [{"re": "V", "im": 1.0}]}, "complex_blocks[0].re"),
+            ({"complex_blocks": [{"re": 1.0, "im": "V"}]}, "complex_blocks[0].im"),
+            (
+                {"real_blocks": [{"lambda": 1.0}], "transform": [["V"]]},
+                "rows[0][0]",
+            ),
+        ],
+    )
+    def test_non_finite_rejected(self, value, doc, where):
+        text = json.dumps(doc).replace('"V"', json.dumps(value))
+        with pytest.raises(DocumentFormatError) as exc:
+            parse_spec_document(json.loads(text))
+        assert str(exc.value).startswith(f"{where}: expected a finite number")
 
     def test_real_axis_pair_rejected(self):
         doc = {"complex_blocks": [{"re": 1.0, "im": 0.0, "size": 1}]}

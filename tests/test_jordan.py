@@ -18,7 +18,7 @@ from matfrob import (
     rotation_block,
     synthesize_matrix,
 )
-from matfrob.jordan import RealJordanFactors, block_diag
+from matfrob.jordan import RealJordanFactors, _cluster_indices, block_diag
 from matfrob.sampling import random_orthogonal, random_pf_spec
 
 from helpers import assert_multiset_close
@@ -235,3 +235,48 @@ class TestExtract:
         factors = extract_diagonalizable_structure(np.zeros((3, 3)))
         assert factors.spec.real_blocks == ((0.0, 1),) * 3
         np.testing.assert_array_equal(factors.reconstruct(), np.zeros((3, 3)))
+
+
+def connected_components(w, radius):
+    """Reference clustering: graph search over every pair closer than radius."""
+    n = len(w)
+    seen = [False] * n
+    groups = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, group = [start], []
+        while stack:
+            i = stack.pop()
+            group.append(i)
+            for j in range(n):
+                if not seen[j] and abs(w[i] - w[j]) < radius:
+                    seen[j] = True
+                    stack.append(j)
+        groups.append(sorted(group))
+    return groups
+
+
+class TestClusterIndices:
+    def test_matches_connected_components(self):
+        rng = np.random.default_rng(41)
+        radius = 1e-3
+        for trial in range(40):
+            n = int(rng.integers(1, 60))
+            w = list(rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n) * (trial % 2))
+            for _ in range(int(rng.integers(0, 5))):
+                # a chain whose links are shorter than the radius but whose
+                # ends lie further apart, so clusters must be transitive
+                z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                for _ in range(int(rng.integers(2, 6))):
+                    z += radius * rng.uniform(0.2, 0.95) * np.exp(
+                        1j * rng.uniform(-np.pi, np.pi)
+                    )
+                    w.append(z)
+            w = np.array(w, dtype=complex)[rng.permutation(len(w))]
+            assert _cluster_indices(w, radius) == connected_components(w, radius)
+
+    def test_exact_duplicates_and_singletons(self):
+        w = np.array([1.0, 2.0, 1.0, 3.0, 2.0 + 5e-7], dtype=complex)
+        assert _cluster_indices(w, 1e-6) == [[0, 2], [1, 4], [3]]

@@ -139,6 +139,45 @@ class TestEventuallyPositive:
         assert not report.overall
         assert power_threshold(a, 64) is None
 
+    def test_transpose_side_matches_the_transpose_check(self):
+        # the transpose side comes from A's own spectrum and a left Perron
+        # vector; every verdict must be the one a check of A^T gives
+        rng = np.random.default_rng(31)
+        matrices = [B, SWAP, SHEAR, np.eye(3), np.zeros((3, 3)), -B]
+        for trial in range(300):
+            n = int(rng.integers(2, 7))
+            a = rng.uniform(-1.0, 1.0, size=(n, n))
+            if trial % 2:
+                a = a + rng.uniform(0.3, 1.5)
+            matrices.append(a * 10.0 ** int(rng.choice([-8, 0, 8])))
+        for _ in range(40):
+            matrices.append(random_pf_factors(rng, max_dim=8).reconstruct())
+        for a in matrices:
+            report = eventually_positive_check(a)
+            expected = strong_pf_check(a.T)
+            assert report.transpose_report.condition_verdicts() == (
+                expected.condition_verdicts()
+            ), a
+            assert report.matrix_report.condition_verdicts() == (
+                strong_pf_check(a).condition_verdicts()
+            ), a
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, value):
+        a = B.copy()
+        a[0, 1] = value
+        for check in (eventually_positive_check, strong_pf_check):
+            with pytest.raises(PreconditionError, match="finite"):
+                check(a)
+        with pytest.raises(PreconditionError, match="finite"):
+            power_threshold(a, 64)
+
+    def test_left_perron_vector(self):
+        report = eventually_positive_check(B)
+        y = report.transpose_report.eigvec
+        np.testing.assert_allclose(B.T @ y, RHO_B * y, atol=1e-12)
+        assert np.max(y) == 1.0
+
 
 class TestPowerThreshold:
     def test_golden_threshold(self):
@@ -156,6 +195,22 @@ class TestPowerThreshold:
 
     def test_scale_invariance(self):
         assert power_threshold(5.0 * B, 16) == power_threshold(B, 16)
+
+    @pytest.mark.parametrize("c", [1e-150, 1e150])
+    def test_extreme_scales(self, c):
+        assert power_threshold(c * B, 64) == 4
+
+    def test_even_powers_alone_are_no_threshold(self):
+        # every even power of -B is positive and every odd one negative:
+        # -B is not eventually positive, and one positive power A^64 must
+        # not say otherwise
+        assert power_threshold(-B, 64) is None
+        assert power_threshold(-B, 65) is None
+        assert not eventually_positive_check(-B).overall
+
+    def test_single_power_horizon(self):
+        assert power_threshold(np.ones((2, 2)), 1) == 1
+        assert power_threshold(B, 1) is None
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
