@@ -64,8 +64,7 @@ def _tolerance(args) -> Tolerance:
 def _write_report(args, payload: dict) -> None:
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload) + "\n")
 
 
 def _emit_document(args, doc: dict) -> None:

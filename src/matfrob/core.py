@@ -133,8 +133,12 @@ def max_abs(a) -> float:
 
 
 def condition_estimate(a) -> float:
-    """2-norm condition number from singular values; inf when singular."""
-    m = np.asarray(a, dtype=complex)
+    """2-norm condition number from singular values; inf when singular.
+
+    Real input takes the real SVD, complex input the complex one.
+    """
+    m = np.asarray(a)
+    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     require_square(m)
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] == 0.0:

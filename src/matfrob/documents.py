@@ -4,8 +4,9 @@ Two document kinds travel through the command line: a matrix document
 ({"name": ..., "rows": [[...], ...]}) and a factored-form document
 ({"real_blocks": [{"lambda": ..., "size": ...}], "complex_blocks":
 [{"re": ..., "im": ..., "size": ...}], optional "transform" rows, optional
-"name"}). Emission uses repr-faithful floats so every emitted document
-re-parses to exactly the same values.
+"name"}). Documents are emitted as single-line JSON in one pass of the C
+encoder (`python -m json.tool` pretty-prints them), with repr-faithful
+floats, so every emitted document re-parses to exactly the same values.
 
 Function expressions are sums of weighted atoms, e.g.
 "0.5*exp + poly:1,0,2" or "root:3"; atoms are exp, abs, pow:P, root:P and
@@ -73,8 +74,8 @@ def load_document(path) -> dict:
 
 
 def dump_document(doc: dict, path=None) -> str:
-    """Serialize a document; optionally also write it to a file."""
-    text = json.dumps(doc, indent=2)
+    """Serialize a document as single-line JSON; optionally also write it."""
+    text = json.dumps(doc)
     if path is not None:
         Path(path).write_text(text + "\n")
     return text
@@ -148,8 +149,7 @@ def parse_matrix_document(doc: dict) -> tuple[str, np.ndarray]:
 
 
 def matrix_document(name: str, a) -> dict:
-    m = np.asarray(a, dtype=float)
-    return {"name": str(name), "rows": [[float(x) for x in row] for row in m]}
+    return {"name": str(name), "rows": np.asarray(a, dtype=float).tolist()}
 
 
 def parse_spec_document(doc: dict) -> tuple[str, JordanSpec, np.ndarray | None]:
@@ -222,8 +222,7 @@ def spec_document(spec: JordanSpec, transform=None, name: str = "synthesized") -
         ],
     }
     if transform is not None:
-        m = np.asarray(transform, dtype=float)
-        doc["transform"] = [[float(x) for x in row] for row in m]
+        doc["transform"] = np.asarray(transform, dtype=float).tolist()
     return doc
 
 

@@ -129,14 +129,18 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
     """The five conditions on the spectrum w of a matrix with norm `scale`.
 
     ``eigvec_at(idx)`` returns an eigenvector for w[idx], the eigenvalue
-    nearest rho; it is called only when that eigenvalue equals rho.
+    nearest rho; it is called only when that eigenvalue equals rho. rho, its
+    distance to the spectrum and the dominance margin are measured against
+    ``tol.rel_eps * scale``, so these verdicts are invariant under positive
+    scaling of the matrix.
     """
+    negligible = tol.rel_eps * scale
     rho = float(np.max(np.abs(w)))
-    rho_positive = rho > tol.abs_eps
+    rho_positive = rho > negligible
 
     dist = np.abs(w - rho)
     idx = int(np.argmin(dist))
-    rho_in_spectrum = tol.eq(w[idx], rho)
+    rho_in_spectrum = bool(dist[idx] <= negligible)
 
     eigvec = None
     eigvec_positive = False
@@ -156,7 +160,7 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
         margin = float(rho - np.max(np.abs(others)))
     else:
         margin = float("inf") if rho_in_spectrum else 0.0
-    strictly_dominant = rho_in_spectrum and margin > tol.abs_eps
+    strictly_dominant = rho_in_spectrum and margin > negligible
 
     overall = (
         rho_positive

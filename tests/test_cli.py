@@ -123,6 +123,16 @@ class TestCheckEvpos:
         assert "power threshold: none up to k_max = 64" in out
         assert "DEFECT" not in out
 
+    def test_tiny_scale_golden_has_no_defect(self, tmp_path, capsys):
+        # eventual positivity is scale invariant; both routes must say so
+        tiny = [[1e-150 * x for x in row] for row in GOLDEN]
+        code = main(["check-evpos", write_matrix(tmp_path, tiny)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "eventually positive: YES" in out
+        assert "power threshold: 4 (k_max = 64)" in out
+        assert "DEFECT" not in out
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entry_rejected(self, tmp_path, capsys, literal):
         path = tmp_path / "m.json"
@@ -397,3 +407,54 @@ class TestEigendecompositionCounts:
     def test_apply_decomposes_once(self, tmp_path, capsys, counted):
         assert main(["apply", write_matrix(tmp_path, GOLDEN), "--fn", "exp"]) == 0
         assert len(counted) == 1
+
+
+def _positive_perron_spec(n):
+    """Factored form of a strong Perron-Frobenius n x n matrix.
+
+    The transform is the Householder reflection taking e1 to the positive
+    unit vector ones / sqrt(n), so rho = 2 has that Perron vector on both
+    sides; the other eigenvalues are a complex pair and distinct reals.
+    """
+    u = np.full(n, 1.0 / np.sqrt(n))
+    v = np.eye(n)[0] - u
+    q = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+    return {
+        "name": "householder",
+        "real_blocks": [{"lambda": 2.0}]
+        + [{"lambda": lam} for lam in np.linspace(-1.5, 1.5, n - 3).tolist()],
+        "complex_blocks": [{"re": 0.3, "im": 0.5}],
+        "transform": q.tolist(),
+    }
+
+
+class TestEmission:
+    """Every document and --out report is one pass of json's C encoder."""
+
+    def test_no_command_takes_the_python_encoder(self, tmp_path, capsys, monkeypatch):
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder reached")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        spec = write_spec(tmp_path, _positive_perron_spec(50))
+        built = tmp_path / "built.json"
+        assert main(["synthesize", spec, "--out", str(built)]) == 0
+        capsys.readouterr()
+        assert main(["apply", str(built), "--fn", "exp"]) == 0
+        stdout_doc = json.loads(capsys.readouterr().out)
+        assert np.shape(stdout_doc["rows"]) == (50, 50)
+        runs = {
+            "fa.json": ["apply", str(built), "--fn", "exp"],
+            "verify.json": ["verify", spec, "--fn", "exp"],
+            "pf.json": ["check-pf", str(built)],
+            "evpos.json": ["check-evpos", str(built)],
+        }
+        for out, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / out)]) == 0, argv
+        capsys.readouterr()
+        for out in ["built.json", *runs]:
+            text = (tmp_path / out).read_text()
+            assert text.endswith("}\n") and text.count("\n") == 1, out
+            json.loads(text)
+        fa = load_document(tmp_path / "fa.json")
+        assert fa["rows"] == stdout_doc["rows"]

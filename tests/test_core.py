@@ -92,6 +92,24 @@ class TestConditionEstimate:
     def test_singular_is_inf(self):
         assert condition_estimate(np.zeros((2, 2))) == math.inf
 
+    def test_real_input_takes_the_real_svd(self, monkeypatch):
+        dtypes = []
+        svd = np.linalg.svd
+
+        def recording_svd(m, *args, **kwargs):
+            dtypes.append(np.asarray(m).dtype)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert condition_estimate(np.diag([4, 1])) == 4.0
+        assert condition_estimate(np.diag([4.0 + 0j, 1j])) == 4.0
+        assert dtypes == [np.float64, np.complex128]
+
+    def test_complex_input(self):
+        u = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
+        assert abs(condition_estimate(u) - 1.0) < 1e-12
+        assert abs(condition_estimate(u @ np.diag([3.0, 1.0])) - 3.0) < 1e-12
+
 
 class TestEigenDecompose:
     def test_diagonal(self):

@@ -26,18 +26,34 @@ from matfrob.documents import (
     parse_spec_document,
     spec_document,
 )
+from matfrob.cli import main
 
 from helpers import NEGATE, full_catalogue
 
 
 class TestMatrixDocuments:
     def test_round_trip_preserves_every_bit(self, tmp_path):
-        a = np.array([[1.0 / 3.0, math.sqrt(2.0)], [-1e-17, 2.0]])
+        a = np.array([
+            [1.0 / 3.0, math.sqrt(2.0), -0.0],
+            [-1e-17, 2.0, 5e-324],
+            [1.7976931348623157e308, 0.1 + 0.2, -1.7976931348623157e308],
+        ])
+        doc = matrix_document("probe", a)
+        assert doc["rows"] == [[float(x) for x in row] for row in a]
+        assert {type(x) for row in doc["rows"] for x in row} == {float}
         path = tmp_path / "m.json"
-        dump_document(matrix_document("probe", a), path)
+        dump_document(doc, path)
         name, back = parse_matrix_document(load_document(path))
         assert name == "probe"
-        assert np.array_equal(back, a)
+        assert back.tobytes() == a.tobytes()  # -0.0 keeps its sign bit
+
+        # a 1 x 1 matrix has no eigenvalue besides rho: an infinite margin
+        report = tmp_path / "report.json"
+        dump_document({"rows": [[0.1 + 0.2]]}, path)
+        assert main(["check-pf", str(path), "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())["report"]
+        assert payload["dominance_margin"] == math.inf
+        assert payload["rho"] == 0.1 + 0.2
 
     def test_defaults_and_detection(self):
         doc = {"rows": [[1.0]]}

@@ -89,6 +89,34 @@ class TestStrongPF:
         assert not report.rho_positive
         assert report.rho == 0.0
 
+    @pytest.mark.parametrize("c", [1e-10, 1e-150])
+    def test_tiny_scale_golden_holds(self, c):
+        # the property is invariant under positive scaling; a bare absolute
+        # epsilon failed rho_positive and strictly_dominant here
+        report = strong_pf_check(c * B)
+        assert report.failed_conditions() == []
+        assert abs(report.dominance_margin - c) < 1e-12 * c
+        assert eventually_positive_check(c * B).overall
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-150])
+    def test_tiny_scale_negated_golden_fails_like_unscaled(self, c):
+        # the eigenvalue nearest rho lies rho - |lambda_2| = c away from it
+        # and is no eigenvalue at rho, however small c is
+        report = strong_pf_check(-c * B)
+        assert report.failed_conditions() == strong_pf_check(-B).failed_conditions()
+        assert not report.rho_in_spectrum
+
+    def test_verdicts_invariant_under_power_of_two_scaling(self):
+        rng = np.random.default_rng(5)
+        for trial in range(100):
+            n = int(rng.integers(2, 7))
+            a = rng.uniform(-1.0, 1.0, size=(n, n))
+            if trial % 2:
+                a = a + rng.uniform(0.0, 1.5)
+            base = strong_pf_check(a).failed_conditions()
+            for e in (-500, -33, 33, 500):
+                assert strong_pf_check(np.ldexp(a, e)).failed_conditions() == base
+
     def test_nonnegative_eigvec_rejected(self):
         report = strong_pf_check(np.diag([2.0, 1.0]))
         assert report.failed_conditions() == ["eigvec_positive"]
