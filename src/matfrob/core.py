@@ -115,13 +115,17 @@ def require_square(a: np.ndarray) -> None:
 
 
 def norm_inf(a) -> float:
-    """Induced infinity norm (max absolute row sum); max abs for vectors."""
+    """Induced infinity norm (max absolute row sum); max abs for vectors.
+
+    A row sum beyond the float64 range gives inf, without a warning.
+    """
     m = np.asarray(a)
     if m.size == 0:
         return 0.0
     if m.ndim == 1:
         return float(np.max(np.abs(m)))
-    return float(np.max(np.sum(np.abs(m), axis=1)))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
 def max_abs(a) -> float:
@@ -150,14 +154,16 @@ def mat_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix; singular input raises.
 
     Singularity is decided by the smallest singular value against
-    ``tol.abs_eps``, so "numerically singular" rather than exactly so.
+    ``max(tol.abs_eps, 1e-12 * largest singular value)``, so "numerically
+    singular" rather than exactly so: an absolute floor, and a condition
+    number of 1e12 or more.
     """
     m = np.asarray(a)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
     require_square(m)
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= tol.abs_eps:
+    if s[-1] <= max(tol.abs_eps, 1e-12 * s[0]):
         raise SingularMatrixError(
             f"matrix is singular to tolerance (smallest singular value {s[-1]:.3e})"
         )

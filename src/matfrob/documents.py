@@ -43,7 +43,6 @@ __all__ = [
     "parse_matrix_document",
     "matrix_document",
     "parse_spec_document",
-    "spec_document",
     "parse_function_expression",
 ]
 
@@ -208,22 +207,6 @@ def parse_spec_document(doc: dict) -> tuple[str, JordanSpec, np.ndarray | None]:
                 f"blocks have total dimension {spec.total_dimension}"
             )
     return name, spec, transform
-
-
-def spec_document(spec: JordanSpec, transform=None, name: str = "synthesized") -> dict:
-    doc: dict = {
-        "name": str(name),
-        "real_blocks": [
-            {"lambda": float(lam), "size": int(n)} for lam, n in spec.real_blocks
-        ],
-        "complex_blocks": [
-            {"re": lam.real, "im": lam.imag, "size": int(n)}
-            for lam, n in spec.complex_blocks
-        ],
-    }
-    if transform is not None:
-        doc["transform"] = np.asarray(transform, dtype=float).tolist()
-    return doc
 
 
 def _split_terms(text: str) -> list[str]:

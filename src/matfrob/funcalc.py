@@ -51,7 +51,7 @@ __all__ = [
 
 
 class DomainError(MatFrobError):
-    """Evaluation point lies outside the function's domain."""
+    """Evaluation point lies outside the function's domain, or f overflows."""
 
 
 class NonDifferentiableError(MatFrobError):
@@ -128,7 +128,10 @@ class SpectralFunction:
     def eval(self, z: complex) -> complex:
         z = complex(z)
         self._require_in_domain(z)
-        return self._eval(z)
+        try:
+            return self._eval(z)
+        except OverflowError as exc:
+            raise self._overflow(z, 0) from exc
 
     def deriv(self, z: complex, order: int) -> complex:
         order = int(order)
@@ -136,14 +139,15 @@ class SpectralFunction:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
         z = complex(z)
         self._require_in_domain(z)
-        if order == 0:
-            return self._eval(z)
         cap = self.max_derivative_order()
         if cap is not None and order > cap:
             raise NonDifferentiableError(
                 f"{self.describe()} has no derivative of order {order}"
             )
-        return self._deriv(z, order)
+        try:
+            return self._deriv(z, order) if order else self._eval(z)
+        except OverflowError as exc:
+            raise self._overflow(z, order) from exc
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
         raise NotEntireError(
@@ -153,6 +157,10 @@ class SpectralFunction:
     def _require_in_domain(self, z: complex) -> None:
         if not self.domain.contains(z):
             raise DomainError(f"{z} is outside the domain of {self.describe()}")
+
+    def _overflow(self, z: complex, order: int) -> DomainError:
+        what = f"order-{order} derivative of " if order else ""
+        return DomainError(f"{what}{self.describe()} overflows float64 at {z}")
 
     def _eval(self, z: complex) -> complex:
         raise NotImplementedError
@@ -487,11 +495,13 @@ def matrix_function(
 ) -> np.ndarray:
     """Evaluate f on a matrix given in real Jordan factored form.
 
-    Assembles f per block and conjugates back by the stored transform. The
-    result of a legitimate evaluation is a real matrix; residual imaginary
-    dust up to abs_eps * max(1, ||result||_inf) is truncated, anything
-    larger raises NonRealResultError (the function is not real on this
-    spectrum).
+    Assembles f per block and conjugates back by the stored transform, in
+    float64: R is real, so the imaginary part of R f(J) R^{-1} is
+    R Im(f(J)) R^{-1}, formed only when some block value is not real. The
+    result of a legitimate evaluation is a real matrix; imaginary dust up
+    to abs_eps * max(1, ||result||_inf) is truncated, anything larger
+    raises NonRealResultError (the function is not real on this spectrum).
+    A result with a non-finite entry or infinity norm raises DomainError.
     """
     check = defined_on_spectrum(f, factors.spec)
     if not check:
@@ -500,18 +510,22 @@ def matrix_function(
     for lam, n in factors.spec.real_blocks:
         blocks.append(func_jordan_block(f, lam, n))
     for lam, n in factors.spec.complex_blocks:
-        blocks.append(func_real_jordan_block(f, lam, n, tol).astype(complex))
+        blocks.append(func_real_jordan_block(f, lam, n, tol))
     core = block_diag(blocks)
-    out = factors.transform @ core @ factors.transform_inverse
-    dust = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    limit = tol.abs_eps * max(1.0, norm_inf(out))
+    r, r_inv = factors.transform, factors.transform_inverse
+    out = r @ core.real @ r_inv
+    size = norm_inf(out)
+    if not math.isfinite(size):
+        raise DomainError(f"f(A) overflows float64 for f = {f.describe()}")
+    dust = float(np.max(np.abs(r @ core.imag @ r_inv))) if np.any(core.imag) else 0.0
+    limit = tol.abs_eps * max(1.0, size)
     if dust > limit:
         raise NonRealResultError(
             f"matrix function result has imaginary magnitude {dust:.3e} "
             f"(limit {limit:.3e}); {f.describe()} is not real-valued on this "
             "spectrum"
         )
-    return np.ascontiguousarray(out.real)
+    return out
 
 
 def taylor_oracle(a, f: SpectralFunction, terms: int) -> np.ndarray:

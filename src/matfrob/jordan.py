@@ -224,9 +224,10 @@ def synthesize_matrix(
 ) -> tuple[np.ndarray, RealJordanFactors]:
     """Build A = R J R^{-1} from a spec and an invertible real transform.
 
-    The transform's condition number is estimated up front: above 1e6 a
-    warning is issued, above 1e8 the synthesis is refused since the factored
-    structure would be numerically meaningless.
+    One SVD of the transform decides singularity (smallest singular value
+    at most ``tol.abs_eps``) and conditioning: above 1e6 a warning is
+    issued, above 1e8 the synthesis is refused since the factored structure
+    would be numerically meaningless.
     """
     r = as_real_matrix(transform)
     require_square(r)
@@ -252,7 +253,7 @@ def synthesize_matrix(
             IllConditionedWarning,
             stacklevel=2,
         )
-    r_inv = mat_inverse(r, tol)
+    r_inv = np.linalg.inv(r)
     a = r @ assemble_real_jordan(spec) @ r_inv
     return a, RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
 
@@ -305,9 +306,8 @@ def extract_diagonalizable_structure(
     for idx in _cluster_indices(w, 1e-6 * scale):
         if len(idx) == 1:
             continue
-        block = v[:, idx]
-        smax = float(np.linalg.svd(block, compute_uv=False)[0])
-        rank = int(np.linalg.matrix_rank(block, tol=1e-8 * max(smax, 1.0)))
+        s = np.linalg.svd(v[:, idx], compute_uv=False)
+        rank = int(np.count_nonzero(s > 1e-8 * max(s[0], 1.0)))
         if rank < len(idx):
             raise DefectiveMatrixError(
                 f"eigenvalue cluster near {w[idx[0]]:.6g} has multiplicity "
@@ -347,14 +347,14 @@ def extract_diagonalizable_structure(
         cols.append(re)
         cols.append(im)
     r = np.column_stack(cols)
-    s = np.linalg.svd(r, compute_uv=False)
-    if s[-1] <= max(tol.abs_eps, 1e-12 * s[0]):
+    try:
+        r_inv = mat_inverse(r, tol)
+    except SingularMatrixError as exc:
         raise DefectiveMatrixError(
             "eigenvector basis is numerically singular; the matrix is "
             "defective to tolerance. Build it from explicit factors via "
             "synthesize_matrix instead."
-        )
-    r_inv = mat_inverse(r, tol)
+        ) from exc
     factors = RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
     resid = norm_inf(factors.reconstruct() - m)
     if resid > 1e-6 * max(1.0, scale):

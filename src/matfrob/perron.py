@@ -194,8 +194,20 @@ def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     """
     m = as_real_matrix(a)
     require_square(m)
+    scale = _finite_norm(m)
     w, v = eigen_decompose(m)
-    return _perron_report(w, lambda idx: v[:, idx], norm_inf(m), tol)
+    return _perron_report(w, lambda idx: v[:, idx], scale, tol)
+
+
+def _finite_norm(m: np.ndarray) -> float:
+    """||m||_inf; a row sum that overflows float64 raises PreconditionError."""
+    scale = norm_inf(m)
+    if not math.isfinite(scale):
+        raise PreconditionError(
+            "an absolute row or column sum of the matrix overflows float64 "
+            "(norm = inf); scale the matrix down"
+        )
+    return scale
 
 
 def _left_perron_vector(m: np.ndarray, rho: float, x: np.ndarray) -> np.ndarray:
@@ -261,12 +273,13 @@ def eventually_positive_check(
     """
     m = as_real_matrix(a)
     require_square(m)
+    scale, scale_t = _finite_norm(m), _finite_norm(m.T)
     w, v = eigen_decompose(m)
-    r1 = _perron_report(w, lambda idx: v[:, idx], norm_inf(m), tol)
+    r1 = _perron_report(w, lambda idx: v[:, idx], scale, tol)
     r2 = _perron_report(
         w,
         lambda idx: _left_perron_vector(m, float(w[idx].real), r1.eigvec),
-        norm_inf(m.T),
+        scale_t,
         tol,
     )
     return EventualPositivityReport(r1.overall and r2.overall, r1, r2)

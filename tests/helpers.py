@@ -1,4 +1,4 @@
-"""Shared test utilities: spectrum comparison and function catalogues."""
+"""Shared test utilities: spectrum comparison, function catalogues, call counts."""
 
 import numpy as np
 
@@ -79,3 +79,16 @@ def split_double_eigenvalue_matrix(seed=70, lam=1.0):
     split = (np.abs(w.imag) > 0.0) & (np.abs(w.imag) <= 1e-12 * rho)
     assert np.count_nonzero(split) == 2, w
     return a, r, lams
+
+
+def count_svd_calls(monkeypatch):
+    """Record the operand shape of every np.linalg.svd call; returns the list."""
+    calls = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

@@ -6,7 +6,7 @@ import pytest
 from matfrob.cli import main
 from matfrob.documents import dump_document, load_document, parse_matrix_document
 
-from helpers import split_double_eigenvalue_matrix
+from helpers import count_svd_calls, split_double_eigenvalue_matrix
 
 
 def write_matrix(tmp_path, rows, name="m"):
@@ -22,6 +22,7 @@ def write_spec(tmp_path, doc, name="s"):
 
 
 GOLDEN = [[2.0, 1.0], [2.0, -1.0]]
+GOLDEN_DOC = {"name": "golden", "rows": GOLDEN}
 # symmetric with spectrum {2, -1} and Perron vector [1, 1]
 PF_SPEC = {
     "name": "planted",
@@ -144,6 +145,66 @@ class TestCheckEvpos:
         assert "rows[1][0]: expected a finite number" in captured.err
 
 
+class TestOverflowingInput:
+    @pytest.mark.parametrize("command", ["check-pf", "check-evpos"])
+    def test_refused_by_name(self, tmp_path, capsys, command):
+        path = write_matrix(tmp_path, [[1e308, 1e308], [1e308, 1e308]])
+        code = main([command, path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "overflows float64" in captured.err
+
+
+class TestOverflowingFunction:
+    """f values beyond float64 exit 2 with a message, never a traceback."""
+
+    DIAG = [[800.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "fn, reason",
+        [
+            ("exp", "exp overflows float64 at (800+0j)"),
+            ("poly:1,1e308,1e308", "f(A) overflows float64 for f = poly"),
+        ],
+    )
+    def test_apply_on_a_matrix(self, tmp_path, capsys, fn, reason):
+        code = main(["apply", write_matrix(tmp_path, self.DIAG), "--fn", fn])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert reason in captured.err
+
+    def test_apply_on_a_spec(self, tmp_path, capsys):
+        spec = {"real_blocks": [{"lambda": 2.0}, {"lambda": 1.0}]}
+        code = main(["apply", write_spec(tmp_path, spec), "--fn", "pow:2000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "pow:2000 overflows float64 at (2+0j)" in captured.err
+
+    def test_verify(self, tmp_path, capsys):
+        spec = dict(PF_SPEC, real_blocks=[{"lambda": 800.0}, {"lambda": 1.0}])
+        code = main(["verify", write_spec(tmp_path, spec), "--fn", "exp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "exp overflows float64 at (800+0j)" in captured.err
+
+    def test_verify_with_overflowing_row_sum(self, tmp_path, capsys):
+        # exp(709.5) is finite, but a row sum of f(A) is not: f(A) cannot
+        # be judged, which is no DISAGREE
+        spec = {
+            "real_blocks": [{"lambda": 709.5}, {"lambda": 1.0}],
+            "transform": [[1.0, 1.0], [0.01, -1.0]],
+        }
+        code = main(["verify", write_spec(tmp_path, spec), "--fn", "exp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "f(A) overflows float64 for f = exp" in captured.err
+
+
 class TestApply:
     def test_power_document_on_stdout(self, tmp_path, capsys):
         code = main([
@@ -165,6 +226,45 @@ class TestApply:
         line = [l for l in captured.err.splitlines() if "oracle deviation" in l]
         assert len(line) == 1
         assert float(line[0].split(":")[1]) < 1e-6
+
+    def test_oracle_bound_is_relative(self, tmp_path, capsys):
+        # pow:4 of 300 B has entries near 3e11; an absolute error of 1.5e-5
+        # there is roundoff
+        scaled = [[300.0 * x for x in row] for row in GOLDEN]
+        code = main([
+            "apply", write_matrix(tmp_path, scaled), "--fn", "pow:4", "--oracle"
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        line = [l for l in captured.err.splitlines() if "oracle deviation" in l]
+        assert len(line) == 1
+        assert float(line[0].split(":")[1]) < 1e-15
+
+    def test_oracle_still_catches_a_wrong_result(self, tmp_path, capsys, monkeypatch):
+        import matfrob.cli
+
+        original = matfrob.cli.matrix_function
+        monkeypatch.setattr(
+            matfrob.cli, "matrix_function", lambda *a: original(*a) * (1 + 1e-5)
+        )
+        scaled = [[300.0 * x for x in row] for row in GOLDEN]
+        code = main([
+            "apply", write_matrix(tmp_path, scaled), "--fn", "pow:4", "--oracle"
+        ])
+        assert code == 1
+        line = [l for l in capsys.readouterr().err.splitlines() if "oracle" in l]
+        assert 0.9e-5 < float(line[0].split(":")[1]) < 1.1e-5
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_oracle_fails(self, tmp_path, capsys):
+        # the 80-term series of exp at -1e7 overflows to inf - inf = NaN
+        code = main([
+            "apply", write_matrix(tmp_path, [[-1e7, 0.0], [0.0, 1.0]]),
+            "--fn", "exp", "--oracle",
+        ])
+        assert code == 1
+        assert "oracle deviation: nan" in capsys.readouterr().err
 
     def test_out_file_swaps_channels(self, tmp_path, capsys):
         out_doc = tmp_path / "result.json"
@@ -372,6 +472,48 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    # every option a command's handler does not read
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("check-pf", ["--seed", "5"]),
+            ("check-pf", ["--oracle"]),
+            ("check-pf", ["--kmax", "3"]),
+            ("check-pf", ["--fn", "exp"]),
+            ("check-evpos", ["--seed", "5"]),
+            ("check-evpos", ["--oracle"]),
+            ("check-evpos", ["--fn", "exp"]),
+            ("apply", ["--kmax", "3"]),
+            ("verify", ["--oracle"]),
+            ("verify", ["--kmax", "3"]),
+            ("synthesize", ["--oracle"]),
+            ("synthesize", ["--kmax", "3"]),
+            ("synthesize", ["--fn", "exp"]),
+        ],
+    )
+    def test_unread_option_rejected(self, tmp_path, capsys, command, option):
+        path = write_spec(tmp_path, PF_SPEC)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("check-pf", ["--tol", "1e-9", "--out"]),
+            ("check-evpos", ["--tol", "1e-9", "--kmax", "64", "--out"]),
+            ("apply",
+             ["--tol", "1e-9", "--seed", "5", "--oracle", "--fn", "exp", "--out"]),
+            ("verify", ["--tol", "1e-9", "--seed", "5", "--fn", "exp", "--out"]),
+            ("synthesize", ["--tol", "1e-9", "--seed", "5", "--out"]),
+        ],
+    )
+    def test_read_options_accepted(self, tmp_path, capsys, command, options):
+        doc = GOLDEN_DOC if command.startswith("check") else PF_SPEC
+        path = write_spec(tmp_path, doc)
+        assert main([command, path, *options, str(tmp_path / "out.json")]) == 0
+
 
 class TestEigendecompositionCounts:
     """One eigendecomposition per matrix that needs one."""
@@ -407,6 +549,26 @@ class TestEigendecompositionCounts:
     def test_apply_decomposes_once(self, tmp_path, capsys, counted):
         assert main(["apply", write_matrix(tmp_path, GOLDEN), "--fn", "exp"]) == 0
         assert len(counted) == 1
+
+
+class TestSingularValueDecompositionCounts:
+    """One SVD per transform; synthesize adds its printed condition estimate."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        return count_svd_calls(monkeypatch)
+
+    def test_apply_on_a_matrix(self, tmp_path, capsys, counted):
+        assert main(["apply", write_matrix(tmp_path, GOLDEN), "--fn", "exp"]) == 0
+        assert len(counted) == 1
+
+    def test_verify(self, tmp_path, capsys, counted):
+        assert main(["verify", write_spec(tmp_path, PF_SPEC), "--fn", "exp"]) == 0
+        assert len(counted) == 1
+
+    def test_synthesize(self, tmp_path, capsys, counted):
+        assert main(["synthesize", write_spec(tmp_path, PF_SPEC)]) == 0
+        assert len(counted) == 2
 
 
 def _positive_perron_spec(n):

@@ -79,6 +79,14 @@ class TestMatInverse:
         with pytest.raises(DimensionMismatchError):
             mat_inverse(np.ones((2, 3)))
 
+    def test_condition_1e12_is_singular(self):
+        # smallest singular value above abs_eps, but cond(a) = 1e12
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(np.diag([1e4, 1e-8]))
+        np.testing.assert_allclose(
+            mat_inverse(np.diag([1e3, 1e-8])), np.diag([1e-3, 1e8]), rtol=1e-15
+        )
+
 
 class TestConditionEstimate:
     def test_orthogonal_is_one(self):

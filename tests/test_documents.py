@@ -24,7 +24,6 @@ from matfrob.documents import (
     parse_function_expression,
     parse_matrix_document,
     parse_spec_document,
-    spec_document,
 )
 from matfrob.cli import main
 
@@ -136,8 +135,19 @@ class TestSpecDocuments:
         )
         t = np.array([[1.0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
                       [0, 0, 0, 1, 0], [0.25, 0, 0, 0, 1.0]])
+        doc = {
+            "name": "planted",
+            "real_blocks": [
+                {"lambda": lam, "size": n} for lam, n in spec.real_blocks
+            ],
+            "complex_blocks": [
+                {"re": lam.real, "im": lam.imag, "size": n}
+                for lam, n in spec.complex_blocks
+            ],
+            "transform": t.tolist(),
+        }
         path = tmp_path / "s.json"
-        dump_document(spec_document(spec, t, name="planted"), path)
+        dump_document(doc, path)
         doc = load_document(path)
         assert is_spec_document(doc)
         name, back, t_back = parse_spec_document(doc)

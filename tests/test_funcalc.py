@@ -384,6 +384,103 @@ class TestMatrixFunction:
             np.testing.assert_allclose(fat, fa.T, atol=1e-8)
 
 
+class MatmulRecorder(np.ndarray):
+    """Array view that records the operand dtypes of each matmul it joins."""
+
+    dtypes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(np.asarray(x) for x in inputs)
+        if ufunc is np.matmul:
+            MatmulRecorder.dtypes.append(tuple(x.dtype for x in inputs))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestRealAssembly:
+    """f(A) = R f(J) R^{-1} is formed in float64."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        import matfrob.funcalc
+
+        def recording_block_diag(blocks):
+            return block_diag(blocks).view(MatmulRecorder)
+
+        MatmulRecorder.dtypes = []
+        monkeypatch.setattr(matfrob.funcalc, "block_diag", recording_block_diag)
+        return MatmulRecorder.dtypes
+
+    @pytest.mark.parametrize("f", [Exp(), Monomial(3), PrincipalRoot(3)])
+    def test_real_block_values_take_one_real_product(self, products, f):
+        spec = JordanSpec(
+            real_blocks=((2.0, 2), (0.5, 1)), complex_blocks=((1 + 1j, 2),)
+        )
+        r = random_orthogonal(np.random.default_rng(5), 7)
+        _, factors = synthesize_matrix(spec, r)
+        fa = matrix_function(factors, f)
+        assert type(fa) is np.ndarray and fa.dtype == np.float64
+        assert fa.flags.c_contiguous
+        assert products == [(np.float64, np.float64)]
+
+    def test_non_real_block_value_adds_one_real_product(self, products):
+        spec = JordanSpec(real_blocks=((2.0, 1), (-1.0, 1)))
+        _, factors = synthesize_matrix(spec, np.eye(2))
+        with pytest.raises(NonRealResultError):
+            matrix_function(factors, PrincipalRoot(3))
+        assert products == [(np.float64, np.float64)] * 2
+
+    @pytest.mark.parametrize(
+        "f", [Exp(), Monomial(4), ScaledSum(((0.5, Exp()), (2.0, Monomial(2))))]
+    )
+    def test_result_is_float64(self, f):
+        rng = np.random.default_rng(9)
+        factors = random_pf_factors(rng, max_dim=6, max_block_size=2)
+        fa = matrix_function(factors, f)
+        assert fa.dtype == np.float64
+
+
+class TestOverflow:
+    """An f value beyond float64 is refused by name, not raised as OverflowError."""
+
+    def test_exp_value(self):
+        with pytest.raises(DomainError, match=r"^exp overflows float64 at \(800\+0j\)$"):
+            Exp().eval(800.0)
+        with pytest.raises(DomainError, match="order-2 derivative of exp overflows"):
+            Exp().deriv(800.0, 2)
+
+    def test_power_value(self):
+        with pytest.raises(DomainError, match="pow:2000 overflows float64 at"):
+            Monomial(2000).eval(2.0)
+        with pytest.raises(DomainError, match="order-1 derivative of pow:2000"):
+            Monomial(2000).deriv(2.0, 1)
+
+    def test_overflowing_term_of_a_sum(self):
+        f = ScaledSum(((0.5, Exp()), (1.0, Monomial(2))))
+        with pytest.raises(DomainError, match="exp overflows"):
+            f.eval(1000.0)
+
+    def test_matrix_function_of_overflowing_block(self):
+        spec = JordanSpec(real_blocks=((800.0, 1), (1.0, 1)))
+        _, factors = synthesize_matrix(spec, np.eye(2))
+        with pytest.raises(DomainError, match="exp overflows"):
+            matrix_function(factors, Exp())
+
+    def test_non_finite_matrix_function_refused(self):
+        # poly(800) overflows to inf without an OverflowError; the
+        # products then leave NaN entries
+        spec = JordanSpec(real_blocks=((800.0, 1), (1.0, 1)))
+        _, factors = synthesize_matrix(spec, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        with pytest.raises(DomainError, match="f\\(A\\) overflows float64"):
+            matrix_function(factors, Polynomial((1.0, 1e308, 1e308)))
+
+    def test_overflowing_row_sum_of_matrix_function_refused(self):
+        # finite entries near 1.3e308 whose row sum overflows
+        spec = JordanSpec(real_blocks=((709.5, 1), (1.0, 1)))
+        _, factors = synthesize_matrix(spec, np.array([[1.0, 1.0], [0.01, -1.0]]))
+        with pytest.raises(DomainError, match="f\\(A\\) overflows float64"):
+            matrix_function(factors, Exp())
+
+
 class TestTaylorOracle:
     def test_cube_is_matrix_power(self):
         rng = np.random.default_rng(41)

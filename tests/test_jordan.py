@@ -21,7 +21,7 @@ from matfrob import (
 from matfrob.jordan import RealJordanFactors, _cluster_indices, block_diag
 from matfrob.sampling import random_orthogonal, random_pf_spec
 
-from helpers import assert_multiset_close
+from helpers import assert_multiset_close, count_svd_calls
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 
@@ -235,6 +235,39 @@ class TestExtract:
         factors = extract_diagonalizable_structure(np.zeros((3, 3)))
         assert factors.spec.real_blocks == ((0.0, 1),) * 3
         np.testing.assert_array_equal(factors.reconstruct(), np.zeros((3, 3)))
+
+    def test_singular_basis_is_defective(self, monkeypatch):
+        import matfrob.jordan
+
+        def singular(a, tol):
+            raise SingularMatrixError("smallest singular value 0")
+
+        monkeypatch.setattr(matfrob.jordan, "mat_inverse", singular)
+        with pytest.raises(
+            DefectiveMatrixError,
+            match="eigenvector basis is numerically singular; the matrix is "
+            "defective to tolerance. Build it from explicit factors via "
+            "synthesize_matrix instead.",
+        ):
+            extract_diagonalizable_structure(B)
+
+
+class TestOneSingularValueDecomposition:
+    """Each transform is factored once."""
+
+    @pytest.fixture
+    def svds(self, monkeypatch):
+        return count_svd_calls(monkeypatch)
+
+    def test_synthesize(self, svds):
+        spec = JordanSpec(real_blocks=((2.0, 2), (-1.0, 1)), complex_blocks=((1j, 1),))
+        synthesize_matrix(spec, random_orthogonal(np.random.default_rng(3), 5))
+        assert svds == [(5, 5)]
+
+    def test_extract(self, svds):
+        a = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        extract_diagonalizable_structure(a)
+        assert svds == [(3, 3)]
 
 
 def connected_components(w, radius):

@@ -200,6 +200,19 @@ class TestEventuallyPositive:
         with pytest.raises(PreconditionError, match="finite"):
             power_threshold(a, 64)
 
+    def test_overflowing_norm_rejected(self):
+        a = np.full((2, 2), 1e308)
+        for check in (eventually_positive_check, strong_pf_check):
+            with pytest.raises(PreconditionError, match="overflows float64"):
+                check(a)
+
+    def test_overflowing_column_sum_rejected(self):
+        # row sums are finite, so only the transpose side overflows
+        a = np.array([[1e308, 0.0], [1e308, 1.0]])
+        strong_pf_check(a)
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            eventually_positive_check(a)
+
     def test_left_perron_vector(self):
         report = eventually_positive_check(B)
         y = report.transpose_report.eigvec
