@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from .core import (
     PreconditionError,
     Tolerance,
     condition_estimate,
+    norm_inf,
 )
 from .documents import (
     dump_document,
@@ -35,7 +37,15 @@ from .documents import (
     parse_matrix_document,
     parse_spec_document,
 )
-from .funcalc import defined_on_spectrum, matrix_function, taylor_oracle
+from .funcalc import (
+    Exp,
+    Monomial,
+    Polynomial,
+    ScaledSum,
+    defined_on_spectrum,
+    matrix_function,
+    taylor_oracle,
+)
 from .jordan import extract_diagonalizable_structure, synthesize_matrix
 from .perron import (
     eventually_positive_check,
@@ -118,6 +128,30 @@ def _load_as_factors(args, tol):
     )
 
 
+def _oracle(a, f) -> np.ndarray:
+    """f(A) from power series alone, atom by atom; never the Jordan form.
+
+    A sum is the weighted sum of its atoms' oracles. exp scales and
+    squares: the series at A / 2^s, with ||A||_inf / 2^s <= 1/2, squared s
+    times. pow and poly take their degree + 1 terms, which is exact. Any
+    other atom gets ORACLE_TERMS terms, and a non-entire one raises
+    NotEntireError.
+    """
+    if isinstance(f, ScaledSum):
+        return sum(w * _oracle(a, g) for w, g in f.terms)
+    if isinstance(f, Exp):
+        s = max(0, math.frexp(norm_inf(a))[1] + 1)
+        out = taylor_oracle(np.ldexp(a, -s), f, ORACLE_TERMS)
+        for _ in range(s):
+            out = out @ out
+        return out
+    if isinstance(f, Monomial):
+        return taylor_oracle(a, f, f.power + 1)
+    if isinstance(f, Polynomial):
+        return taylor_oracle(a, f, len(f.coeffs))
+    return taylor_oracle(a, f, ORACLE_TERMS)
+
+
 def cmd_check_pf(args) -> int:
     tol = _tolerance(args)
     name, a = parse_matrix_document(load_document(args.input))
@@ -159,7 +193,7 @@ def cmd_apply(args) -> int:
     fa = matrix_function(factors, f, tol)
     _emit_document(args, matrix_document(f"{args.fn}({name})", fa))
     if args.oracle:
-        oracle = taylor_oracle(a, f, ORACLE_TERMS)
+        oracle = _oracle(a, f)
         scale = max(1.0, float(np.max(np.abs(oracle))))
         deviation = float(np.max(np.abs(fa - oracle))) / scale
         _report_line(args, f"relative oracle deviation: {deviation:.3e}")

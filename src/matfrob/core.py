@@ -1,9 +1,9 @@
 """Dense linear algebra foundation with an explicit tolerance policy.
 
-Matrices are plain numpy arrays: real matrices are float64, complex ones
-complex128, both 2-d. Every function here is pure; arguments are never
-mutated. Eigen decomposition of real input goes through the real LAPACK
-path so complex eigenvalues arrive in exactly conjugate pairs, which the
+Matrices are plain 2-d float64 numpy arrays; complex values appear only
+in what a decomposition returns. Every function here is pure; arguments
+are never mutated. Eigen decomposition goes through the real LAPACK path
+so complex eigenvalues arrive in exactly conjugate pairs, which the
 real-Jordan machinery downstream relies on.
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_real_matrix",
-    "as_complex_matrix",
     "require_square",
     "norm_inf",
     "max_abs",
@@ -101,14 +100,6 @@ def as_real_matrix(a) -> np.ndarray:
     return m
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a 2-d complex128 array."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
-
-
 def require_square(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -137,12 +128,8 @@ def max_abs(a) -> float:
 
 
 def condition_estimate(a) -> float:
-    """2-norm condition number from singular values; inf when singular.
-
-    Real input takes the real SVD, complex input the complex one.
-    """
-    m = np.asarray(a)
-    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+    """2-norm condition number of a real matrix; inf when singular."""
+    m = as_real_matrix(a)
     require_square(m)
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] == 0.0:
@@ -177,21 +164,17 @@ def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of a square matrix.
 
     Returns ``(w, v)`` with ``a @ v[:, k] ~= w[k] * v[:, k]``, as LAPACK
-    computes them. Real input is decomposed through the real path, which
-    returns real eigenvalues with exactly zero imaginary part and each
-    complex pair as exact conjugates in adjacent slots, positive imaginary
-    part first, with conjugate eigenvectors. Eigenvector columns have unit
-    2-norm.
+    computes them for a real matrix: real eigenvalues with exactly zero
+    imaginary part and each complex pair as exact conjugates in adjacent
+    slots, positive imaginary part first, with conjugate eigenvectors.
+    Eigenvector columns have unit 2-norm.
     """
-    m = as_complex_matrix(a)
+    m = as_real_matrix(a)
     require_square(m)
     if m.shape[0] == 0:
         raise DimensionMismatchError("cannot decompose an empty matrix")
     try:
-        if np.all(m.imag == 0.0):
-            w, v = np.linalg.eig(m.real)
-        else:
-            w, v = np.linalg.eig(m)
+        w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise SolverConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     return np.asarray(w, dtype=complex), np.asarray(v, dtype=complex)

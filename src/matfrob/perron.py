@@ -9,9 +9,13 @@ matrix and its transpose both have that property.
 The scalar-side counterpart: a function f preserves the property iff, on
 the relevant spectrum, f is conjugate-symmetric, maps rho to a positive
 real, and satisfies |f(lambda)| < f(rho) strictly inside the spectral
-circle. frobenius_check measures those three conditions pointwise and
-verify_preservation_theorem compares the scalar verdict against the
-matrix-level outcome.
+circle. frobenius_check measures those three conditions pointwise,
+relative to the size of f on the spectrum, and verify_preservation_theorem
+compares the scalar verdict against the matrix-level outcome.
+
+A matrix given by its entries is decomposed once. A matrix given by its
+real Jordan factors A = R J R^{-1} is not decomposed at all: its spectrum
+is the spec's, exactly, and its eigenvectors are columns of R.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ class PerronReport:
 
 def spectral_radius(a) -> float:
     """Largest eigenvalue magnitude."""
-    w, _ = eigen_decompose(as_real_matrix(a))
+    w, _ = eigen_decompose(a)
     return float(np.max(np.abs(w)))
 
 
@@ -188,9 +192,11 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
 def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     """Measure the five strong Perron-Frobenius conditions on a real matrix.
 
-    Simplicity and dominance are decided against the eigenvalue cluster
-    within 1e-6 * ||A||_inf of rho, so a numerically split multiple
-    eigenvalue is still recognized as one.
+    The matrix is given by its entries and decomposed once. Simplicity and
+    dominance are decided against the eigenvalue cluster within
+    1e-6 * ||A||_inf of rho, so a numerically split multiple eigenvalue is
+    still recognized as one. For factored input, verify_preservation_theorem
+    builds the same report from the factors without decomposing.
     """
     m = as_real_matrix(a)
     require_square(m)
@@ -413,7 +419,12 @@ def frobenius_check(
 
     Checks, for each spectrum point lam: conj(f(lam)) == f(conj lam); and
     for points strictly inside the circle of radius rho: |f(lam)| < f(rho).
-    Also that f(rho) itself is a positive real. With `grid` set, an
+    Also that f(rho) itself is a positive real. The positivity of f(rho),
+    the domination gap and the conjugate-symmetry defect are measured
+    against ``tol.rel_eps * max(|f(rho)|, max |f(lam)|)`` over the spectrum
+    points in f's domain, and "strictly inside" means
+    ``|lam| < rho * (1 - tol.rel_eps)``, so no threshold depends on the
+    absolute size of f or of rho. With `grid` set, an
     additional grid x grid lattice over the disc (intersected with f's
     domain) is sampled for extra coverage; spectrum points outside the
     domain are condition failures, grid points outside are just skipped.
@@ -422,13 +433,23 @@ def frobenius_check(
     notes: list[str] = []
     points = [complex(z) for z in spectrum]
 
+    def value(z: complex) -> complex | None:
+        """f(z) where f is defined at z and at conj z, else None."""
+        in_dom = f.domain.contains(z) and f.domain.contains(z.conjugate())
+        return f.eval(z) if in_dom else None
+
+    f_rho = value(complex(rho))
+    values = [value(z) for z in points]
+    f_scale = max((abs(v) for v in [f_rho, *values] if v is not None), default=0.0)
+    negligible = tol.rel_eps * f_scale
+    inside = rho * (1.0 - tol.rel_eps)
+
     f_rho_real = None
     positivity = False
-    if not f.domain.contains(rho):
+    if f_rho is None:
         notes.append(f"rho = {rho:.6g} is outside the domain of {f.describe()}")
     else:
-        f_rho = f.eval(rho)
-        positivity = abs(f_rho.imag) <= tol.abs_eps and f_rho.real > tol.abs_eps
+        positivity = abs(f_rho.imag) <= negligible and f_rho.real > negligible
         f_rho_real = f_rho.real
         if not positivity:
             notes.append(
@@ -441,37 +462,35 @@ def frobenius_check(
     marginal = False
     dom_worst: tuple[complex, float, float] | None = None
 
-    def visit(z: complex, from_grid: bool) -> None:
+    def visit(z: complex, val: complex | None, from_grid: bool) -> None:
         nonlocal conj_ok, conj_worst, dom_ok, marginal, dom_worst
-        in_dom = f.domain.contains(z) and f.domain.contains(z.conjugate())
-        if not in_dom:
+        if val is None:
             if from_grid:
                 return
             conj_ok = False
             conj_worst = (z, float("inf"))
             notes.append(f"{_fmt_complex(z)} is outside the domain of {f.describe()}")
             return
-        val = f.eval(z)
         val_at_conj = f.eval(z.conjugate())
         defect = abs(val.conjugate() - val_at_conj)
         if conj_worst is None or defect > conj_worst[1]:
             conj_worst = (z, defect)
-        if not tol.eq(val.conjugate(), val_at_conj):
+        if defect > negligible:
             conj_ok = False
-        if f_rho_real is not None and abs(z) < rho - tol.abs_eps:
+        if f_rho_real is not None and abs(z) < inside:
             gap = f_rho_real - abs(val)
             if dom_worst is None or gap < f_rho_real - dom_worst[1]:
                 dom_worst = (z, abs(val), f_rho_real)
-            if gap <= tol.abs_eps:
+            if gap <= negligible:
                 dom_ok = False
-                if abs(gap) <= tol.abs_eps:
+                if abs(gap) <= negligible:
                     marginal = True
 
-    for z in points:
-        visit(z, from_grid=False)
+    for z, val in zip(points, values):
+        visit(z, val, from_grid=False)
     if grid is not None and grid > 1:
         for z in _disc_grid(rho, int(grid)):
-            visit(z, from_grid=True)
+            visit(z, value(z), from_grid=True)
 
     overall = conj_ok and dom_ok and positivity
     return FrobeniusVerdict(
@@ -532,6 +551,11 @@ def verify_preservation_theorem(
 ) -> PreservationResult:
     """Compare the scalar verdict with the matrix-level outcome on f(A).
 
+    A's report is read off its factors, with no eigendecomposition: the
+    spectrum is the spec's exact eigenvalue multiset, listed block by block
+    in the transform's column order, so the first slot of the block at rho
+    indexes its eigenvector, a column of R. Only f(A) is decomposed.
+
     A must carry the strong Perron-Frobenius property to begin with (the
     equivalence says nothing otherwise); violating that raises
     PreconditionError. A conjugate-symmetry or non-real-result failure while
@@ -539,16 +563,19 @@ def verify_preservation_theorem(
     outcome, not an error. Other failures (f undefined on the spectrum)
     propagate, since they void the comparison's hypothesis.
     """
-    a = factors.reconstruct()
-    a_report = strong_pf_check(a, tol)
+    spectrum = factors.spec.eigenvalue_multiset()
+    a_report = _perron_report(
+        np.array(spectrum),
+        lambda idx: factors.transform[:, idx],
+        _finite_norm(factors.reconstruct()),
+        tol,
+    )
     if not a_report.overall:
         raise PreconditionError(
             "the factored matrix lacks the strong Perron-Frobenius property "
             f"(failed: {', '.join(a_report.failed_conditions())})"
         )
-    spectrum = factors.spec.eigenvalue_multiset()
-    rho = max(abs(z) for z in spectrum)
-    verdict = frobenius_check(f, spectrum, rho, tol)
+    verdict = frobenius_check(f, spectrum, a_report.rho, tol)
 
     f_of_a = None
     fa_error = None

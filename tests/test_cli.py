@@ -258,13 +258,35 @@ class TestApply:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_oracle_fails(self, tmp_path, capsys):
-        # the 80-term series of exp at -1e7 overflows to inf - inf = NaN
+        # eigenvalues 700 and 0, eigenvector basis of condition ~4e3: exp(A)
+        # is finite near 1e307, but the last squaring of exp(A/2) sums
+        # products near 1e310, which overflow to inf - inf = NaN
+        rows = [[700700.0, -700000.0], [700700.0, -700000.0]]
         code = main([
-            "apply", write_matrix(tmp_path, [[-1e7, 0.0], [0.0, 1.0]]),
-            "--fn", "exp", "--oracle",
+            "apply", write_matrix(tmp_path, rows), "--fn", "exp", "--oracle",
         ])
         assert code == 1
         assert "oracle deviation: nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, fn",
+        [
+            # the 80-term series of exp at -1000 is garbage near 1e120, and
+            # at -1e7 it overflows; scaling and squaring needs neither
+            ([[-1000.0, 0.0], [0.0, 1.0]], "exp"),
+            ([[-1e7, 0.0], [0.0, 1.0]], "exp"),
+            # 80 terms hold no x^100 term; pow:100 takes 101
+            (GOLDEN, "pow:100"),
+            (GOLDEN, "0.5*exp + pow:100 + poly:1,-2,0.5"),
+        ],
+    )
+    def test_oracle_accepts_a_correct_result(self, tmp_path, capsys, rows, fn):
+        code = main(["apply", write_matrix(tmp_path, rows), "--fn", fn, "--oracle"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        line = [l for l in captured.err.splitlines() if "oracle deviation" in l]
+        assert len(line) == 1
+        assert float(line[0].split(":")[1]) < 1e-10
 
     def test_out_file_swaps_channels(self, tmp_path, capsys):
         out_doc = tmp_path / "result.json"
@@ -410,6 +432,29 @@ class TestVerify:
         assert code == 2
         assert "factored-form" in capsys.readouterr().err
 
+    def test_jordan_block_at_rho_fails_only_simplicity(self, tmp_path, capsys):
+        # eig splits the defective double eigenvalue 2; the spec states it
+        spec = {
+            "real_blocks": [{"lambda": 2, "size": 2}, {"lambda": 1}],
+            "transform": [
+                [1.327, 0.72, 0.269],
+                [0.898, -0.078, -0.514],
+                [0.631, -1.403, 0.166],
+            ],
+        }
+        code = main(["verify", write_spec(tmp_path, spec), "--fn", "exp"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "(failed: simple)" in err
+
+    def test_tiny_spectrum_agrees(self, tmp_path, capsys):
+        # f(rho) = 2.7e-11 is a positive real relative to f's values here
+        spec = {"real_blocks": [{"lambda": 3e-4}, {"lambda": -1e-4}]}
+        code = main(["verify", write_spec(tmp_path, spec), "--fn", "pow:3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "AGREE" in out and "DISAGREE" not in out
+
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "verify.json"
         code = main([
@@ -544,7 +589,7 @@ class TestEigendecompositionCounts:
 
     def test_verify_decomposes_a_and_f_of_a(self, tmp_path, capsys, counted):
         assert main(["verify", write_spec(tmp_path, PF_SPEC), "--fn", "exp"]) == 0
-        assert len(counted) == 2
+        assert len(counted) == 1  # f(A) only; A's report comes from its factors
 
     def test_apply_decomposes_once(self, tmp_path, capsys, counted):
         assert main(["apply", write_matrix(tmp_path, GOLDEN), "--fn", "exp"]) == 0

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import matfrob.perron
 from matfrob import (
     Abs,
     DimensionMismatchError,
+    DomainError,
     Exp,
     JordanSpec,
     Monomial,
@@ -13,6 +15,7 @@ from matfrob import (
     Polynomial,
     PreconditionError,
     PrincipalRoot,
+    RealJordanFactors,
     defined_on_spectrum,
     derivative_reality_check,
     eventually_positive_check,
@@ -24,9 +27,14 @@ from matfrob import (
     synthesize_matrix,
     verify_preservation_theorem,
 )
-from matfrob.sampling import random_pf_factors
+from matfrob.sampling import (
+    positive_column_orthogonal,
+    random_orthogonal,
+    random_pf_factors,
+    random_pf_spec,
+)
 
-from helpers import NEGATE, full_catalogue
+from helpers import NEGATE, differentiable_catalogue, full_catalogue
 from test_funcalc import SkewedDerivatives
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
@@ -398,6 +406,124 @@ class TestPreservationTheorem:
         d = verify_preservation_theorem(golden_factors(), Exp()).to_dict()
         assert d["theorem_consistent"] is True
         assert d["fa_strong_pf"] is True
+
+
+def _orthogonal_transform(rng):
+    spec = random_pf_spec(rng, max_dim=8, max_block_size=3)
+    return synthesize_matrix(spec, random_orthogonal(rng, spec.total_dimension))[1]
+
+
+def _negative_dominant(rng):
+    spec = random_pf_spec(rng, max_dim=8, max_block_size=3)
+    (rho, _), *rest = spec.real_blocks
+    spec = JordanSpec(((-rho, 1), *rest), spec.complex_blocks)
+    q = positive_column_orthogonal(rng, spec.total_dimension)
+    return synthesize_matrix(spec, q)[1]
+
+
+def _pair_above_rho(rng):
+    spec = random_pf_spec(rng, max_dim=6, max_block_size=2)
+    rho = spec.real_blocks[0][0]
+    theta = rng.uniform(0.2, math.pi - 0.2)
+    lam = 1.2 * rho * complex(math.cos(theta), math.sin(theta))
+    spec = JordanSpec(spec.real_blocks, ((lam, 1), *spec.complex_blocks))
+    q = positive_column_orthogonal(rng, spec.total_dimension)
+    return synthesize_matrix(spec, q)[1]
+
+
+FACTOR_KINDS = {
+    "pf": lambda rng: random_pf_factors(rng, max_dim=8, max_block_size=3),
+    "orthogonal": _orthogonal_transform,
+    "negative_rho": _negative_dominant,
+    "pair_above_rho": _pair_above_rho,
+}
+
+
+class TestFactoredReport:
+    """verify reads A's report off its factors, with no eigendecomposition."""
+
+    @staticmethod
+    def factored_report(monkeypatch, factors):
+        """The report verify_preservation_theorem builds for A."""
+        seen = []
+        original = matfrob.perron._perron_report
+        monkeypatch.setattr(
+            matfrob.perron,
+            "_perron_report",
+            lambda *args: seen.append(original(*args)) or seen[-1],
+        )
+        try:
+            verify_preservation_theorem(factors, Monomial(1))
+        except PreconditionError:
+            pass
+        monkeypatch.undo()
+        return seen[0]
+
+    @pytest.mark.parametrize("kind", sorted(FACTOR_KINDS))
+    def test_matches_the_eigendecomposition(self, monkeypatch, kind):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            factors = FACTOR_KINDS[kind](rng)
+            got = self.factored_report(monkeypatch, factors)
+            want = strong_pf_check(factors.reconstruct())
+            assert got.failed_conditions() == want.failed_conditions(), factors.spec
+            assert (got.eigvec is None) == (want.eigvec is None)
+            if got.eigvec is not None:
+                np.testing.assert_allclose(got.eigvec, want.eigvec, rtol=0, atol=1e-6)
+
+    def test_first_slot_of_each_block_is_an_eigenvector(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            factors = _orthogonal_transform(rng)
+            spec, r = factors.spec, factors.transform
+            a = factors.reconstruct()
+            w = spec.eigenvalue_multiset()
+            starts = np.cumsum(
+                [0] + [n for _, n in spec.real_blocks]
+                + [2 * n for _, n in spec.complex_blocks]
+            )[:-1]
+            for k in starts:
+                x = r[:, k] + 1j * r[:, k + 1] if w[k].imag else r[:, k]
+                atol = 1e-12 * max(1.0, abs(w[k]))
+                np.testing.assert_allclose(a @ r[:, k], (w[k] * x).real, rtol=0, atol=atol)
+
+    def test_jordan_block_at_rho_fails_only_simplicity(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            spec = random_pf_spec(rng, max_dim=6, max_block_size=2)
+            (rho, _), *rest = spec.real_blocks
+            spec = JordanSpec(((rho, 2), *rest), spec.complex_blocks)
+            q = positive_column_orthogonal(rng, spec.total_dimension)
+            _, factors = synthesize_matrix(spec, q * rng.uniform(0.6, 1.8, q.shape[0]))
+            with pytest.raises(PreconditionError, match=r"\(failed: simple\)"):
+                verify_preservation_theorem(factors, Exp())
+
+
+class TestScaledSpectra:
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2, 1e4])
+    def test_scaling_every_eigenvalue_keeps_agreement(self, c):
+        rng = np.random.default_rng(43)
+        functions = differentiable_catalogue() + [NEGATE]
+        checked = 0
+        for _ in range(100):
+            factors = random_pf_factors(rng, max_dim=10, max_block_size=1)
+            spec = JordanSpec(
+                tuple((c * lam, n) for lam, n in factors.spec.real_blocks),
+                tuple((c * lam, n) for lam, n in factors.spec.complex_blocks),
+            )
+            scaled = RealJordanFactors(
+                spec, factors.transform, factors.transform_inverse
+            )
+            for f in functions:
+                if not defined_on_spectrum(f, spec):
+                    continue
+                try:
+                    res = verify_preservation_theorem(scaled, f)
+                except DomainError:  # exp overflows float64 at c = 1e4
+                    continue
+                assert res.theorem_consistent, (c, f.describe(), spec)
+                checked += 1
+        assert checked >= 500
 
 
 class TestEquivalenceLattice:
