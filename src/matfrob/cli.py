@@ -162,6 +162,20 @@ def cmd_check_pf(args) -> int:
     return EXIT_HOLDS if report.overall else EXIT_FAILS
 
 
+def _evpos_evidence(report) -> str:
+    """The eigenvalue verdict with the numbers behind it, for a DEFECT line.
+
+    YES carries the smaller of the two sides' dominance margins; NO names
+    each failed condition with its side.
+    """
+    sides = {"matrix": report.matrix_report, "transpose": report.transpose_report}
+    if report.overall:
+        margin = min(r.dominance_margin for r in sides.values())
+        return f"YES (dominance margin {margin:.6g})"
+    failed = [f"{side} {c}" for side, r in sides.items() for c in r.failed_conditions()]
+    return f"NO (failed: {', '.join(failed)})"
+
+
 def cmd_check_evpos(args) -> int:
     tol = _tolerance(args)
     name, a = parse_matrix_document(load_document(args.input))
@@ -170,14 +184,15 @@ def cmd_check_evpos(args) -> int:
     print(f"matrix: {name}")
     print(report.format_text())
     if threshold is None:
-        print(f"power threshold: none up to k_max = {args.kmax}")
+        brute = f"none up to k_max = {args.kmax}"
     else:
-        print(f"power threshold: {threshold} (k_max = {args.kmax})")
-    brute = threshold is not None
-    if brute != report.overall:
+        brute = f"{threshold} (k_max = {args.kmax})"
+    print(f"power threshold: {brute}")
+    if (threshold is not None) != report.overall:
         print(
-            "DEFECT: eigenvalue-based verdict and brute-force powers disagree; "
-            "this indicates a bug or a borderline spectrum"
+            f"DEFECT: eigenvalue-based verdict {_evpos_evidence(report)} and "
+            f"brute-force power threshold {brute} disagree; this indicates a "
+            "bug or a borderline spectrum"
         )
     _write_report(
         args,
@@ -193,11 +208,17 @@ def cmd_apply(args) -> int:
     fa = matrix_function(factors, f, tol)
     _emit_document(args, matrix_document(f"{args.fn}({name})", fa))
     if args.oracle:
-        oracle = _oracle(a, f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = _oracle(a, f)
+        if not np.isfinite(oracle).all():
+            raise MatFrobError(
+                "the oracle's power series overflowed float64, so the oracle "
+                "is unusable for this matrix; f(A) itself is finite"
+            )
         scale = max(1.0, float(np.max(np.abs(oracle))))
         deviation = float(np.max(np.abs(fa - oracle))) / scale
         _report_line(args, f"relative oracle deviation: {deviation:.3e}")
-        if not deviation <= ORACLE_LIMIT:  # NaN when the series overflows
+        if deviation > ORACLE_LIMIT:
             return EXIT_FAILS
     return EXIT_HOLDS
 

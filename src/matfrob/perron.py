@@ -49,7 +49,6 @@ __all__ = [
     "EventualPositivityReport",
     "FrobeniusVerdict",
     "PreservationResult",
-    "spectral_radius",
     "strong_pf_check",
     "eventually_positive_check",
     "power_threshold",
@@ -121,12 +120,6 @@ class PerronReport:
             + ("HOLDS" if self.overall else "DOES NOT HOLD")
         )
         return "\n".join(lines)
-
-
-def spectral_radius(a) -> float:
-    """Largest eigenvalue magnitude."""
-    w, _ = eigen_decompose(a)
-    return float(np.max(np.abs(w)))
 
 
 def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
@@ -305,6 +298,15 @@ def power_threshold(a, k_max: int) -> int | None:
     positive powers A^p, A^(p+1) prove eventual positivity, since every
     m >= p^2 - p is a sum of copies of p and p + 1, while one positive
     power alone does not (the even powers of -A can all be positive).
+
+    The loop stops early. Products of positive matrices are positive, so
+    once A^s, ..., A^(2s-1) are all positive, so is A^k for every k >= s:
+    k is a sum of exponents in [s, 2s-1]. The scan therefore returns s as
+    soon as it reaches k = 2s - 1 with no nonpositive power since s - 1,
+    and gives the same answer as scanning all k_max powers. It forms 2s - 1
+    products for a threshold s <= (k_max + 1) / 2, and k_max otherwise,
+    in particular when there is no threshold.
+
     Positivity is scale invariant, so A is scaled once by a power of two
     near ||A||_inf, making ||A^k||_inf non-increasing, and every 8th power
     again against underflow. Powers of two scale exactly, so every sign is
@@ -324,6 +326,8 @@ def power_threshold(a, k_max: int) -> int | None:
             power = _power_of_two_scaled(power, max_abs(power))
         if not (power > 0.0).all():
             last_nonpositive = k
+        elif k == 2 * last_nonpositive + 1:
+            return last_nonpositive + 1
     if last_nonpositive >= max(k_max - 1, 1):
         return None
     return last_nonpositive + 1

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -111,7 +112,26 @@ class TestCheckEvpos:
         out = capsys.readouterr().out
         assert code == 0
         assert "power threshold: none up to k_max = 3" in out
-        assert "DEFECT" in out
+        # the line names both sides: the smaller dominance margin behind the
+        # spectral YES (1 on both sides of B) and the brute-force outcome
+        defect = [line for line in out.splitlines() if line.startswith("DEFECT")]
+        assert len(defect) == 1
+        assert "eigenvalue-based verdict YES (dominance margin 1)" in defect[0]
+        assert "brute-force power threshold none up to k_max = 3" in defect[0]
+
+    def test_disagreement_names_failed_conditions(self, tmp_path, capsys):
+        # a tolerance of 10 * ||B|| makes rho negligible on both sides, while
+        # the powers still turn positive at 4
+        code = main([
+            "check-evpos", write_matrix(tmp_path, GOLDEN), "--tol", "10"
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        defect = [line for line in out.splitlines() if line.startswith("DEFECT")]
+        assert len(defect) == 1
+        assert "eigenvalue-based verdict NO (failed: matrix rho_positive" in defect[0]
+        assert "transpose rho_positive" in defect[0]
+        assert "brute-force power threshold 4 (k_max = 64)" in defect[0]
 
     def test_negated_golden_has_no_defect(self, tmp_path, capsys):
         # only the even powers of -B are positive; neither side may call it
@@ -260,13 +280,19 @@ class TestApply:
     def test_overflowing_oracle_fails(self, tmp_path, capsys):
         # eigenvalues 700 and 0, eigenvector basis of condition ~4e3: exp(A)
         # is finite near 1e307, but the last squaring of exp(A/2) sums
-        # products near 1e310, which overflow to inf - inf = NaN
+        # products near 1e310, which overflow to inf - inf = NaN. The oracle
+        # is unusable, not the result: exit 2, and no numpy warning leaks
         rows = [[700700.0, -700000.0], [700700.0, -700000.0]]
-        code = main([
-            "apply", write_matrix(tmp_path, rows), "--fn", "exp", "--oracle",
-        ])
-        assert code == 1
-        assert "oracle deviation: nan" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "apply", write_matrix(tmp_path, rows), "--fn", "exp", "--oracle",
+            ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "power series overflowed float64" in err
+        assert "oracle is unusable" in err
+        assert "oracle deviation" not in err
 
     @pytest.mark.parametrize(
         "rows, fn",

@@ -22,7 +22,6 @@ from matfrob import (
     frobenius_check,
     matrix_function,
     power_threshold,
-    spectral_radius,
     strong_pf_check,
     synthesize_matrix,
     verify_preservation_theorem,
@@ -35,24 +34,13 @@ from matfrob.sampling import (
 )
 
 from helpers import NEGATE, differentiable_catalogue, full_catalogue
-from test_funcalc import SkewedDerivatives
+from test_funcalc import MatmulRecorder, SkewedDerivatives
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 RHO_B = (1.0 + math.sqrt(17.0)) / 2.0
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
-
-
-class TestSpectralRadius:
-    def test_golden(self):
-        assert abs(spectral_radius(B) - RHO_B) < 1e-12
-
-    def test_scaling(self):
-        assert abs(spectral_radius(5.0 * B) - 5.0 * RHO_B) < 1e-11
-
-    def test_rotation(self):
-        assert abs(spectral_radius(ROTATION) - 1.0) < 1e-12
 
 
 class TestStrongPF:
@@ -228,7 +216,84 @@ class TestEventuallyPositive:
         assert np.max(y) == 1.0
 
 
+def full_scan_threshold(a, k_max):
+    """Reference: power_threshold's loop as it was before the early stop.
+
+    It forms all k_max powers; its answer must equal the early-stopping one.
+    """
+    m = np.asarray(a, dtype=float)
+    base = matfrob.perron._power_of_two_scaled(m, matfrob.core.norm_inf(m))
+    power = np.eye(base.shape[0])
+    last_nonpositive = 0
+    for k in range(1, k_max + 1):
+        power = power @ base
+        if k % 8 == 0:
+            power = matfrob.perron._power_of_two_scaled(
+                power, matfrob.core.max_abs(power)
+            )
+        if not (power > 0.0).all():
+            last_nonpositive = k
+    if last_nonpositive >= max(k_max - 1, 1):
+        return None
+    return last_nonpositive + 1
+
+
+def threshold_reference_set():
+    """3008 seeded matrices: random, random_pf_factors, and the fixed cases."""
+    rng = np.random.default_rng(4242)
+    for trial in range(2700):
+        n = int(rng.integers(2, 7))
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        if trial % 2:
+            a = a + rng.uniform(0.3, 1.5)
+        yield a * 10.0 ** (-8, 0, 8)[trial % 3]
+    for _ in range(300):
+        yield random_pf_factors(rng, max_dim=6).reconstruct()
+    yield from (B, -B, 1e150 * B, 1e-150 * B, SWAP, np.eye(3), np.ones((3, 3)),
+                np.zeros((2, 2)))
+
+
 class TestPowerThreshold:
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """Count the matrix products power_threshold forms."""
+        scale = matfrob.perron._power_of_two_scaled
+
+        def recording_scale(a, size):
+            return scale(a, size).view(MatmulRecorder)
+
+        MatmulRecorder.dtypes = []
+        monkeypatch.setattr(matfrob.perron, "_power_of_two_scaled", recording_scale)
+        return MatmulRecorder.dtypes
+
+    def test_early_stop_matches_the_full_scan(self):
+        counts = {"finite": 0, "none": 0}
+        for a in threshold_reference_set():
+            for k_max in (1, 2, 3, 4, 10, 64, 65):
+                expected = full_scan_threshold(a, k_max)
+                assert power_threshold(a, k_max) == expected, (a, k_max)
+                counts["none" if expected is None else "finite"] += 1
+        assert counts["finite"] >= 3000 and counts["none"] >= 3000
+
+    @pytest.mark.parametrize(
+        "a, k_max, threshold, count",
+        [
+            (B, 64, 4, 7),  # B^4 .. B^7 positive
+            (np.ones((3, 3)), 64, 1, 1),
+            (-B, 64, None, 64),  # only the even powers are positive
+            (np.eye(2), 64, None, 64),
+            (B, 10**9, 4, 7),  # the horizon is never reached
+            (B, 5, 4, 5),  # a threshold past (k_max + 1) / 2 scans to k_max
+            # a threshold of exactly k_max still reads None
+            (B, 4, None, 4),
+            (np.array([[0.0, 1.0], [1.0, 1.0]]), 2, None, 2),
+            (np.array([[0.0, 1.0], [1.0, 1.0]]), 3, 2, 3),
+        ],
+    )
+    def test_product_count(self, products, a, k_max, threshold, count):
+        assert power_threshold(a, k_max) == threshold
+        assert len(products) == count
+
     def test_golden_threshold(self):
         assert power_threshold(B, 10) == 4
         assert power_threshold(B, 64) == 4
