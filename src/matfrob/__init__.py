@@ -1,29 +1,25 @@
 """Matrix functions on real Jordan structure, with strong Perron-Frobenius
 and eventual-positivity checks.
 
-The public surface re-exports the working set: tolerance policy and dense
-kernels (core), factored real Jordan forms (jordan), the scalar function
-calculus and matrix_function (funcalc), and the property checks tying the
-scalar conditions to the matrix-level outcome (perron).
+The public surface is what a caller of the preservation equivalence uses:
+the tolerance and error types (core), planted and extracted real Jordan
+factors (jordan), the scalar function nodes and matrix_function (funcalc),
+and the property checks tying the scalar conditions to the matrix-level
+outcome (perron). Block builders, dense kernels and report classes stay in
+their submodules.
 """
 
 from .core import (
-    DEFAULT_TOL,
     DimensionMismatchError,
     MatFrobError,
     PreconditionError,
     SingularMatrixError,
     SolverConvergenceError,
     Tolerance,
-    condition_estimate,
-    eigen_decompose,
-    mat_inverse,
 )
 from .funcalc import (
     Abs,
-    CheckResult,
     ConjugateSymmetryError,
-    DomainDescriptor,
     DomainError,
     Exp,
     Monomial,
@@ -36,10 +32,7 @@ from .funcalc import (
     ScaledSum,
     SpectralFunction,
     defined_on_spectrum,
-    func_jordan_block,
-    func_real_jordan_block,
     matrix_function,
-    reflection_check,
     taylor_oracle,
 )
 from .jordan import (
@@ -48,19 +41,10 @@ from .jordan import (
     IllConditionedWarning,
     JordanSpec,
     RealJordanFactors,
-    assemble_real_jordan,
     extract_diagonalizable_structure,
-    jordan_block,
-    real_jordan_block,
-    rotation_block,
     synthesize_matrix,
 )
 from .perron import (
-    EventualPositivityReport,
-    FrobeniusVerdict,
-    PerronReport,
-    PreservationResult,
-    derivative_reality_check,
     eventually_positive_check,
     frobenius_check,
     power_threshold,
@@ -72,39 +56,26 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tolerance",
-    "DEFAULT_TOL",
     "MatFrobError",
     "DimensionMismatchError",
     "SingularMatrixError",
     "SolverConvergenceError",
     "PreconditionError",
-    "mat_inverse",
-    "condition_estimate",
-    "eigen_decompose",
     "JordanSpec",
     "RealJordanFactors",
-    "jordan_block",
-    "rotation_block",
-    "real_jordan_block",
-    "assemble_real_jordan",
     "synthesize_matrix",
     "extract_diagonalizable_structure",
     "DefectiveMatrixError",
     "IllConditionedError",
     "IllConditionedWarning",
     "SpectralFunction",
-    "DomainDescriptor",
     "Monomial",
     "PrincipalRoot",
     "Abs",
     "Exp",
     "Polynomial",
     "ScaledSum",
-    "CheckResult",
     "defined_on_spectrum",
-    "reflection_check",
-    "func_jordan_block",
-    "func_real_jordan_block",
     "matrix_function",
     "taylor_oracle",
     "DomainError",
@@ -113,14 +84,9 @@ __all__ = [
     "NonRealResultError",
     "NotEntireError",
     "NotDefinedOnSpectrumError",
-    "PerronReport",
-    "EventualPositivityReport",
-    "FrobeniusVerdict",
-    "PreservationResult",
     "strong_pf_check",
     "eventually_positive_check",
     "power_threshold",
     "frobenius_check",
     "verify_preservation_theorem",
-    "derivative_reality_check",
 ]

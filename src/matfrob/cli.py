@@ -99,7 +99,7 @@ def _require_fn(args):
     return parse_function_expression(args.fn)
 
 
-def _synthesize_from_spec(args, doc, tol):
+def _synthesize_from_spec(args, doc):
     """Factored-form document to (name, matrix, factors).
 
     A document without a transform gets a random orthogonal one drawn from
@@ -109,7 +109,7 @@ def _synthesize_from_spec(args, doc, tol):
     if transform is None:
         rng = np.random.default_rng(args.seed)
         transform = random_orthogonal(rng, spec.total_dimension)
-    a, factors = synthesize_matrix(spec, transform, tol)
+    a, factors = synthesize_matrix(spec, transform)
     return name, a, factors
 
 
@@ -121,7 +121,7 @@ def _load_as_factors(args, tol):
         factors = extract_diagonalizable_structure(a, tol)
         return name, a, factors
     if is_spec_document(doc):
-        return _synthesize_from_spec(args, doc, tol)
+        return _synthesize_from_spec(args, doc)
     raise MatFrobError(
         f"{args.input}: document is neither a matrix (rows) nor a factored "
         "form (real_blocks / complex_blocks)"
@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
             f"{args.input}: verify needs a factored-form document "
             "(real_blocks / complex_blocks)"
         )
-    name, _, factors = _synthesize_from_spec(args, doc, tol)
+    name, _, factors = _synthesize_from_spec(args, doc)
     check = defined_on_spectrum(f, factors.spec)
     if not check:
         raise MatFrobError(
@@ -253,14 +253,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    tol = _tolerance(args)
     doc = load_document(args.input)
     if not is_spec_document(doc):
         raise MatFrobError(
             f"{args.input}: synthesize needs a factored-form document "
             "(real_blocks / complex_blocks)"
         )
-    name, a, factors = _synthesize_from_spec(args, doc, tol)
+    name, a, factors = _synthesize_from_spec(args, doc)
     _emit_document(args, matrix_document(name, a))
     _report_line(
         args,
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize",
                        help="build a matrix from a factored-form document")
     p.add_argument("input", help="path to a factored-form document")
-    _add_options(p, "tol", "seed", "out")
+    _add_options(p, "seed", "out")
     p.set_defaults(handler=cmd_synthesize)
 
     return parser

@@ -263,9 +263,6 @@ class Abs(SpectralFunction):
     def _eval(self, z: complex) -> complex:
         return complex(abs(z))
 
-    def _deriv(self, z: complex, order: int) -> complex:  # pragma: no cover
-        raise NonDifferentiableError("abs has no derivatives")
-
 
 @dataclass(frozen=True)
 class Exp(SpectralFunction):

@@ -220,14 +220,15 @@ class RealJordanFactors:
 
 
 def synthesize_matrix(
-    spec: JordanSpec, transform, tol: Tolerance = DEFAULT_TOL
+    spec: JordanSpec, transform
 ) -> tuple[np.ndarray, RealJordanFactors]:
     """Build A = R J R^{-1} from a spec and an invertible real transform.
 
-    One SVD of the transform decides singularity (smallest singular value
-    at most ``tol.abs_eps``) and conditioning: above 1e6 a warning is
-    issued, above 1e8 the synthesis is refused since the factored structure
-    would be numerically meaningless.
+    One SVD of the transform decides singularity (a smallest singular
+    value of zero, or subnormal, whose inverse can overflow) and
+    conditioning: above 1e6 a warning is issued, above 1e8 the synthesis is
+    refused since the factored structure would be numerically meaningless.
+    No bound depends on the scale of R: cR gives the same A for every c != 0.
     """
     r = as_real_matrix(transform)
     require_square(r)
@@ -237,9 +238,9 @@ def synthesize_matrix(
             f"dimension {spec.total_dimension}"
         )
     s = np.linalg.svd(r, compute_uv=False)
-    if s[-1] <= tol.abs_eps:
+    if s[-1] < np.finfo(float).tiny:
         raise SingularMatrixError(
-            f"transform is singular to tolerance (smallest singular value {s[-1]:.3e})"
+            f"transform is singular in float64 (smallest singular value {s[-1]:.3e})"
         )
     cond = float(s[0] / s[-1])
     if cond > CONDITION_HARD:

@@ -36,7 +36,6 @@ from .core import (
     require_square,
 )
 from .funcalc import (
-    CheckResult,
     ConjugateSymmetryError,
     NonRealResultError,
     SpectralFunction,
@@ -54,7 +53,6 @@ __all__ = [
     "power_threshold",
     "frobenius_check",
     "verify_preservation_theorem",
-    "derivative_reality_check",
 ]
 
 CONDITION_LABELS = {
@@ -401,23 +399,8 @@ class FrobeniusVerdict:
         return "\n".join(lines)
 
 
-def _disc_grid(rho: float, density: int) -> list[complex]:
-    xs = np.linspace(-rho, rho, density)
-    pts = []
-    for x in xs:
-        for y in xs:
-            z = complex(x, y)
-            if abs(z) <= rho:
-                pts.append(z)
-    return pts
-
-
 def frobenius_check(
-    f: SpectralFunction,
-    spectrum,
-    rho: float,
-    tol: Tolerance = DEFAULT_TOL,
-    grid: int | None = None,
+    f: SpectralFunction, spectrum, rho: float, tol: Tolerance = DEFAULT_TOL
 ) -> FrobeniusVerdict:
     """Test the scalar preservation conditions on the given spectrum.
 
@@ -428,10 +411,8 @@ def frobenius_check(
     against ``tol.rel_eps * max(|f(rho)|, max |f(lam)|)`` over the spectrum
     points in f's domain, and "strictly inside" means
     ``|lam| < rho * (1 - tol.rel_eps)``, so no threshold depends on the
-    absolute size of f or of rho. With `grid` set, an
-    additional grid x grid lattice over the disc (intersected with f's
-    domain) is sampled for extra coverage; spectrum points outside the
-    domain are condition failures, grid points outside are just skipped.
+    absolute size of f or of rho. A spectrum point outside f's domain fails
+    conjugate symmetry.
     """
     rho = float(rho)
     notes: list[str] = []
@@ -465,18 +446,13 @@ def frobenius_check(
     dom_ok = True
     marginal = False
     dom_worst: tuple[complex, float, float] | None = None
-
-    def visit(z: complex, val: complex | None, from_grid: bool) -> None:
-        nonlocal conj_ok, conj_worst, dom_ok, marginal, dom_worst
+    for z, val in zip(points, values):
         if val is None:
-            if from_grid:
-                return
             conj_ok = False
             conj_worst = (z, float("inf"))
             notes.append(f"{_fmt_complex(z)} is outside the domain of {f.describe()}")
-            return
-        val_at_conj = f.eval(z.conjugate())
-        defect = abs(val.conjugate() - val_at_conj)
+            continue
+        defect = abs(val.conjugate() - f.eval(z.conjugate()))
         if conj_worst is None or defect > conj_worst[1]:
             conj_worst = (z, defect)
         if defect > negligible:
@@ -489,12 +465,6 @@ def frobenius_check(
                 dom_ok = False
                 if abs(gap) <= negligible:
                     marginal = True
-
-    for z, val in zip(points, values):
-        visit(z, val, from_grid=False)
-    if grid is not None and grid > 1:
-        for z in _disc_grid(rho, int(grid)):
-            visit(z, value(z), from_grid=True)
 
     overall = conj_ok and dom_ok and positivity
     return FrobeniusVerdict(
@@ -603,28 +573,3 @@ def verify_preservation_theorem(
         fa_report=fa_report,
         theorem_consistent=(verdict.overall == fa_pf),
     )
-
-
-def derivative_reality_check(
-    f: SpectralFunction,
-    real_samples,
-    max_order: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> CheckResult:
-    """All derivatives up to max_order are real at the given real points.
-
-    Samples must lie in f's domain; a non-differentiable node raises rather
-    than failing the verdict.
-    """
-    for r in real_samples:
-        r = float(r)
-        for j in range(int(max_order) + 1):
-            val = f.deriv(complex(r, 0.0), j)
-            if abs(val.imag) > tol.abs_eps:
-                return CheckResult(
-                    False,
-                    (complex(r, 0.0), j),
-                    f"order-{j} derivative of {f.describe()} at {r:.6g} has "
-                    f"imaginary part {val.imag:.3e}",
-                )
-    return CheckResult(True)

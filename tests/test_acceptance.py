@@ -19,20 +19,17 @@ from matfrob import (
     Polynomial,
     PrincipalRoot,
     Tolerance,
-    derivative_reality_check,
     eventually_positive_check,
-    func_jordan_block,
-    func_real_jordan_block,
-    jordan_block,
     matrix_function,
     power_threshold,
-    reflection_check,
     strong_pf_check,
     synthesize_matrix,
     taylor_oracle,
     verify_preservation_theorem,
 )
 from matfrob.core import norm_inf
+from matfrob.funcalc import func_jordan_block, func_real_jordan_block, reflection_check
+from matfrob.jordan import jordan_block
 from matfrob.sampling import random_pf_factors
 
 from helpers import NEGATE, differentiable_catalogue, random_domain_points
@@ -211,7 +208,7 @@ def test_criterion_7_reality_and_reflection():
     reflection_ok = True
     for f in differentiable_catalogue():
         samples = rng.uniform(0.1, 4.0, size=20)
-        reality_ok = reality_ok and bool(derivative_reality_check(f, samples, 5))
+        reality_ok = reality_ok and bool(reflection_check(f, samples, max_order=5))
         pts = random_domain_points(rng, f, 100)
         reflection_ok = reflection_ok and bool(
             reflection_check(f, pts, max_order=3, tol=tol)

@@ -523,6 +523,22 @@ class TestSynthesize:
         assert np.array(doc["rows"]).shape == (3, 3)
         assert "condition estimate" in captured.err
 
+    @pytest.mark.parametrize("command", [["synthesize"], ["verify", "--fn", "exp"]])
+    def test_tiny_scale_transform_is_accepted(self, tmp_path, capsys, command):
+        # cR with c = 1e-10 and R = [[1, 1], [1, -1]]: condition number 1,
+        # smallest singular value 1.4e-10, and the same A as R gives
+        spec = {
+            "real_blocks": [{"lambda": 2.0}, {"lambda": -1.0}],
+            "transform": [[1e-10, 1e-10], [1e-10, -1e-10]],
+        }
+        out = tmp_path / "out.json"
+        code = main([command[0], write_spec(tmp_path, spec), *command[1:],
+                     "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        if command[0] == "synthesize":
+            _, a = parse_matrix_document(load_document(out))
+            np.testing.assert_allclose(a, [[0.5, 1.5], [1.5, 0.5]], rtol=1e-14)
+
     def test_rejects_lower_half_representative(self, tmp_path, capsys):
         spec = {"complex_blocks": [{"re": 1.0, "im": -2.0, "size": 1}]}
         code = main(["synthesize", write_spec(tmp_path, spec)])
@@ -557,6 +573,7 @@ class TestParser:
             ("apply", ["--kmax", "3"]),
             ("verify", ["--oracle"]),
             ("verify", ["--kmax", "3"]),
+            ("synthesize", ["--tol", "1e-9"]),
             ("synthesize", ["--oracle"]),
             ("synthesize", ["--kmax", "3"]),
             ("synthesize", ["--fn", "exp"]),
@@ -577,7 +594,7 @@ class TestParser:
             ("apply",
              ["--tol", "1e-9", "--seed", "5", "--oracle", "--fn", "exp", "--out"]),
             ("verify", ["--tol", "1e-9", "--seed", "5", "--fn", "exp", "--out"]),
-            ("synthesize", ["--tol", "1e-9", "--seed", "5", "--out"]),
+            ("synthesize", ["--seed", "5", "--out"]),
         ],
     )
     def test_read_options_accepted(self, tmp_path, capsys, command, options):

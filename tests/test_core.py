@@ -10,11 +10,15 @@ from matfrob import (
     PreconditionError,
     SingularMatrixError,
     Tolerance,
+)
+from matfrob.core import (
+    as_real_matrix,
     condition_estimate,
     eigen_decompose,
     mat_inverse,
+    max_abs,
+    norm_inf,
 )
-from matfrob.core import as_real_matrix, max_abs, norm_inf
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 

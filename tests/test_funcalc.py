@@ -20,17 +20,14 @@ from matfrob import (
     ScaledSum,
     SpectralFunction,
     defined_on_spectrum,
-    eigen_decompose,
     extract_diagonalizable_structure,
-    func_jordan_block,
-    func_real_jordan_block,
-    jordan_block,
     matrix_function,
-    reflection_check,
     synthesize_matrix,
     taylor_oracle,
 )
-from matfrob.jordan import block_diag
+from matfrob.core import eigen_decompose
+from matfrob.funcalc import func_jordan_block, func_real_jordan_block, reflection_check
+from matfrob.jordan import block_diag, jordan_block
 from matfrob.sampling import random_orthogonal, random_pf_factors
 
 from helpers import (

@@ -10,15 +10,19 @@ from matfrob import (
     IllConditionedWarning,
     JordanSpec,
     SingularMatrixError,
-    assemble_real_jordan,
-    eigen_decompose,
     extract_diagonalizable_structure,
+    synthesize_matrix,
+)
+from matfrob.core import eigen_decompose
+from matfrob.jordan import (
+    RealJordanFactors,
+    _cluster_indices,
+    assemble_real_jordan,
+    block_diag,
     jordan_block,
     real_jordan_block,
     rotation_block,
-    synthesize_matrix,
 )
-from matfrob.jordan import RealJordanFactors, _cluster_indices, block_diag
 from matfrob.sampling import random_orthogonal, random_pf_spec
 
 from helpers import assert_multiset_close, count_svd_calls
@@ -160,6 +164,23 @@ class TestSynthesize:
         spec = JordanSpec(real_blocks=((2.0, 2),))
         with pytest.raises(SingularMatrixError):
             synthesize_matrix(spec, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-200])
+    def test_scaled_transform_gives_the_same_matrix(self, c):
+        # cR J (cR)^-1 = R J R^-1: a tiny but perfectly conditioned
+        # transform is not singular
+        spec = JordanSpec(real_blocks=((2.0, 1), (-1.0, 1)))
+        r = np.array([[1.0, 1.0], [1.0, -1.0]])
+        a, _ = synthesize_matrix(spec, r)
+        a_scaled, factors = synthesize_matrix(spec, c * r)
+        np.testing.assert_allclose(a_scaled, a, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(factors.reconstruct(), a, rtol=1e-14, atol=1e-15)
+
+    def test_subnormal_transform_is_singular(self):
+        # its inverse, 1e310 * [[1, 1], [1, -1]] / 2, overflows float64
+        spec = JordanSpec(real_blocks=((2.0, 1), (-1.0, 1)))
+        with pytest.raises(SingularMatrixError, match="singular in float64"):
+            synthesize_matrix(spec, 1e-310 * np.array([[1.0, 1.0], [1.0, -1.0]]))
 
     def test_hard_condition_limit(self):
         spec = JordanSpec(real_blocks=((2.0, 2),))

@@ -1,0 +1,89 @@
+"""The names `matfrob` exports, and the README example that uses them."""
+
+import importlib
+import re
+from pathlib import Path
+
+import matfrob
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+EXPORTED = {
+    "Tolerance",
+    "MatFrobError",
+    "DimensionMismatchError",
+    "SingularMatrixError",
+    "SolverConvergenceError",
+    "PreconditionError",
+    "JordanSpec",
+    "RealJordanFactors",
+    "synthesize_matrix",
+    "extract_diagonalizable_structure",
+    "DefectiveMatrixError",
+    "IllConditionedError",
+    "IllConditionedWarning",
+    "SpectralFunction",
+    "Monomial",
+    "PrincipalRoot",
+    "Abs",
+    "Exp",
+    "Polynomial",
+    "ScaledSum",
+    "defined_on_spectrum",
+    "matrix_function",
+    "taylor_oracle",
+    "DomainError",
+    "NonDifferentiableError",
+    "ConjugateSymmetryError",
+    "NonRealResultError",
+    "NotEntireError",
+    "NotDefinedOnSpectrumError",
+    "strong_pf_check",
+    "eventually_positive_check",
+    "power_threshold",
+    "frobenius_check",
+    "verify_preservation_theorem",
+}
+
+# not exported from the package; each still lives in its submodule
+SUBMODULE_ONLY = {
+    "DEFAULT_TOL": "core",
+    "eigen_decompose": "core",
+    "mat_inverse": "core",
+    "condition_estimate": "core",
+    "jordan_block": "jordan",
+    "rotation_block": "jordan",
+    "real_jordan_block": "jordan",
+    "assemble_real_jordan": "jordan",
+    "func_jordan_block": "funcalc",
+    "func_real_jordan_block": "funcalc",
+    "reflection_check": "funcalc",
+    "DomainDescriptor": "funcalc",
+    "CheckResult": "funcalc",
+    "PerronReport": "perron",
+    "EventualPositivityReport": "perron",
+    "FrobeniusVerdict": "perron",
+    "PreservationResult": "perron",
+}
+
+
+def test_all_is_exactly_the_exported_names():
+    assert len(matfrob.__all__) == len(EXPORTED) == 34
+    assert set(matfrob.__all__) == EXPORTED
+    for name in matfrob.__all__:
+        assert getattr(matfrob, name) is not None, name
+
+
+def test_submodule_names_are_not_exported():
+    for name, module in SUBMODULE_ONLY.items():
+        assert not hasattr(matfrob, name), name
+        assert hasattr(importlib.import_module(f"matfrob.{module}"), name), name
+    assert not hasattr(matfrob, "derivative_reality_check")
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert "AGREE" in capsys.readouterr().out
