@@ -64,11 +64,9 @@ ORACLE_LIMIT = 1e-6
 
 
 def _tolerance(args) -> Tolerance:
-    if args.tol is None:
-        return DEFAULT_TOL
-    if args.tol < 0:
-        raise MatFrobError(f"--tol must be nonnegative, got {args.tol}")
-    return Tolerance(abs_eps=args.tol, rel_eps=args.tol)
+    if not 0.0 <= args.tol < math.inf:
+        raise MatFrobError(f"--tol must be finite and nonnegative, got {args.tol}")
+    return Tolerance(rel_eps=args.tol)
 
 
 def _write_report(args, payload: dict) -> None:
@@ -113,12 +111,12 @@ def _synthesize_from_spec(args, doc):
     return name, a, factors
 
 
-def _load_as_factors(args, tol):
+def _load_as_factors(args):
     """Either document kind to factored form: (name, matrix, factors)."""
     doc = load_document(args.input)
     if is_matrix_document(doc):
         name, a = parse_matrix_document(doc)
-        factors = extract_diagonalizable_structure(a, tol)
+        factors = extract_diagonalizable_structure(a)
         return name, a, factors
     if is_spec_document(doc):
         return _synthesize_from_spec(args, doc)
@@ -204,7 +202,7 @@ def cmd_check_evpos(args) -> int:
 def cmd_apply(args) -> int:
     tol = _tolerance(args)
     f = _require_fn(args)
-    name, a, factors = _load_as_factors(args, tol)
+    name, a, factors = _load_as_factors(args)
     fa = matrix_function(factors, f, tol)
     _emit_document(args, matrix_document(f"{args.fn}({name})", fa))
     if args.oracle:
@@ -215,8 +213,9 @@ def cmd_apply(args) -> int:
                 "the oracle's power series overflowed float64, so the oracle "
                 "is unusable for this matrix; f(A) itself is finite"
             )
-        scale = max(1.0, float(np.max(np.abs(oracle))))
-        deviation = float(np.max(np.abs(fa - oracle))) / scale
+        diff = float(np.max(np.abs(fa - oracle)))
+        scale = float(np.max(np.abs(oracle)))
+        deviation = diff / scale if scale else (math.inf if diff else 0.0)
         _report_line(args, f"relative oracle deviation: {deviation:.3e}")
         if deviation > ORACLE_LIMIT:
             return EXIT_FAILS
@@ -269,8 +268,8 @@ def cmd_synthesize(args) -> int:
 
 
 OPTIONS = {
-    "tol": dict(type=float, default=None,
-                help="absolute and relative tolerance (default 1e-9)"),
+    "tol": dict(type=float, default=DEFAULT_TOL.rel_eps,
+                help="relative tolerance, finite and >= 0 (default 1e-9)"),
     "seed": dict(type=int, default=0,
                  help="seed for generated transforms (default 0)"),
     "out": dict(type=str, default=None,

@@ -2,9 +2,11 @@
 
 Matrices are plain 2-d float64 numpy arrays; complex values appear only
 in what a decomposition returns. Every function here is pure; arguments
-are never mutated. Eigen decomposition goes through the real LAPACK path
-so complex eigenvalues arrive in exactly conjugate pairs, which the
-real-Jordan machinery downstream relies on.
+are never mutated. Every threshold is relative (to a value, a norm or a
+largest singular value), so none depends on the scale of the input.
+Eigen decomposition goes through the real LAPACK path so complex
+eigenvalues arrive in exactly conjugate pairs, which the real-Jordan
+machinery downstream relies on.
 """
 
 from __future__ import annotations
@@ -53,25 +55,24 @@ class PreconditionError(MatFrobError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Combined absolute/relative comparison tolerance.
+    """Relative comparison tolerance.
 
     Scalars a, b are tolerance-equal iff
-    ``|a - b| <= abs_eps + rel_eps * max(|a|, |b|)``.
+    ``|a - b| <= rel_eps * max(|a|, |b|)``.
     The predicate is symmetric in its arguments by construction.
     """
 
-    abs_eps: float = 1e-9
     rel_eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs_eps < 0.0 or self.rel_eps < 0.0:
-            raise ValueError("tolerance components must be nonnegative")
+        if not 0.0 <= self.rel_eps < float("inf"):
+            raise ValueError(f"rel_eps must be finite and >= 0, got {self.rel_eps}")
 
     def eq(self, a: complex, b: complex) -> bool:
         """Tolerance-equality of two scalars (real or complex)."""
         a = complex(a)
         b = complex(b)
-        return abs(a - b) <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))
+        return abs(a - b) <= self.rel_eps * max(abs(a), abs(b))
 
 
 DEFAULT_TOL = Tolerance()
@@ -137,20 +138,19 @@ def condition_estimate(a) -> float:
     return float(s[0] / s[-1])
 
 
-def mat_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def mat_inverse(a) -> np.ndarray:
     """Inverse of a square matrix; singular input raises.
 
     Singularity is decided by the smallest singular value against
-    ``max(tol.abs_eps, 1e-12 * largest singular value)``, so "numerically
-    singular" rather than exactly so: an absolute floor, and a condition
-    number of 1e12 or more.
+    ``1e-12 * largest singular value``, so "numerically singular" rather
+    than exactly so: a condition number of 1e12 or more, at any scale.
     """
     m = np.asarray(a)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
     require_square(m)
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= max(tol.abs_eps, 1e-12 * s[0]):
+    if s[-1] <= 1e-12 * s[0]:
         raise SingularMatrixError(
             f"matrix is singular to tolerance (smallest singular value {s[-1]:.3e})"
         )

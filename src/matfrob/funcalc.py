@@ -496,8 +496,8 @@ def matrix_function(
     float64: R is real, so the imaginary part of R f(J) R^{-1} is
     R Im(f(J)) R^{-1}, formed only when some block value is not real. The
     result of a legitimate evaluation is a real matrix; imaginary dust up
-    to abs_eps * max(1, ||result||_inf) is truncated, anything larger
-    raises NonRealResultError (the function is not real on this spectrum).
+    to tol.rel_eps * ||result||_inf is truncated, anything larger raises
+    NonRealResultError (the function is not real on this spectrum).
     A result with a non-finite entry or infinity norm raises DomainError.
     """
     check = defined_on_spectrum(f, factors.spec)
@@ -515,7 +515,7 @@ def matrix_function(
     if not math.isfinite(size):
         raise DomainError(f"f(A) overflows float64 for f = {f.describe()}")
     dust = float(np.max(np.abs(r @ core.imag @ r_inv))) if np.any(core.imag) else 0.0
-    limit = tol.abs_eps * max(1.0, size)
+    limit = tol.rel_eps * size
     if dust > limit:
         raise NonRealResultError(
             f"matrix function result has imaginary magnitude {dust:.3e} "

@@ -16,11 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     DimensionMismatchError,
     MatFrobError,
     SingularMatrixError,
-    Tolerance,
     as_real_matrix,
     eigen_decompose,
     mat_inverse,
@@ -205,7 +203,7 @@ class RealJordanFactors:
                 f"transform shape {r.shape} does not match spec dimension {n}"
             )
         resid = max_abs(r @ ri - np.eye(n))
-        if resid > 1e-6 * max(1.0, max_abs(r) * max_abs(ri)):
+        if resid > 1e-6 * max_abs(r) * max_abs(ri):
             raise ValueError(
                 f"transform_inverse is not an inverse (residual {resid:.3e})"
             )
@@ -283,22 +281,23 @@ def _cluster_indices(w: np.ndarray, radius: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def extract_diagonalizable_structure(
-    a, tol: Tolerance = DEFAULT_TOL
-) -> RealJordanFactors:
+def extract_diagonalizable_structure(a) -> RealJordanFactors:
     """Recover real Jordan factors of a diagonalizable real matrix.
 
     Only diagonalizable structure is read off raw entries; deciding true
-    Jordan structure from floats is ill-posed. Eigenvalues closer than
-    1e-6 * ||A||_inf are clustered, and a cluster whose eigenvector block is
-    rank deficient (so numerically defective) raises DefectiveMatrixError
-    telling the caller to supply explicit factors via synthesize_matrix
-    instead. Each conjugate pair is read from its member with positive
-    imaginary part, whose eigenvector's real and imaginary parts span the
-    pair's real invariant subspace. A pair with imaginary part at most
-    1e-12 * max(rho(A), 1) is a real double eigenvalue that rounding split:
-    it becomes two real eigenvalues at its real part, with the same two
-    spanning columns.
+    Jordan structure from floats is ill-posed. Every threshold is relative,
+    so none depends on the scale of A and no tolerance is read. Eigenvalues
+    closer than 1e-6 * ||A||_inf are clustered, and a cluster whose
+    eigenvector block has rank below its size (singular values under 1e-8
+    times the largest) raises DefectiveMatrixError telling the caller to
+    supply explicit factors via synthesize_matrix instead; so do an
+    eigenvector basis of condition 1e12 or more and a reconstruction
+    residual above 1e-6 * ||A||_inf. Each conjugate pair is read from its
+    member with positive imaginary part, whose eigenvector's real and
+    imaginary parts span the pair's real invariant subspace. A pair with
+    imaginary part at most 1e-12 * rho(A) is a real double eigenvalue that
+    rounding split: it becomes two real eigenvalues at its real part, with
+    the same two spanning columns.
     """
     m = as_real_matrix(a)
     require_square(m)
@@ -308,7 +307,7 @@ def extract_diagonalizable_structure(
         if len(idx) == 1:
             continue
         s = np.linalg.svd(v[:, idx], compute_uv=False)
-        rank = int(np.count_nonzero(s > 1e-8 * max(s[0], 1.0)))
+        rank = int(np.count_nonzero(s > 1e-8 * s[0]))
         if rank < len(idx):
             raise DefectiveMatrixError(
                 f"eigenvalue cluster near {w[idx[0]]:.6g} has multiplicity "
@@ -321,7 +320,7 @@ def extract_diagonalizable_structure(
     real_cols: list[np.ndarray] = []
     pair_lams: list[complex] = []
     pair_cols: list[tuple[np.ndarray, np.ndarray]] = []
-    split = 1e-12 * max(float(np.max(np.abs(w))), 1.0)
+    split = 1e-12 * float(np.max(np.abs(w)))
     for i, lam in enumerate(w):
         if lam.imag < 0.0:
             continue  # exact conjugate of the pair member read just before
@@ -349,7 +348,7 @@ def extract_diagonalizable_structure(
         cols.append(im)
     r = np.column_stack(cols)
     try:
-        r_inv = mat_inverse(r, tol)
+        r_inv = mat_inverse(r)
     except SingularMatrixError as exc:
         raise DefectiveMatrixError(
             "eigenvector basis is numerically singular; the matrix is "
@@ -358,10 +357,10 @@ def extract_diagonalizable_structure(
         ) from exc
     factors = RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
     resid = norm_inf(factors.reconstruct() - m)
-    if resid > 1e-6 * max(1.0, scale):
+    if resid > 1e-6 * scale:
         raise DefectiveMatrixError(
             f"diagonalizable reconstruction residual {resid:.3e} exceeds "
-            f"{1e-6 * max(1.0, scale):.3e}; the matrix is too close to "
+            f"{1e-6 * scale:.3e}; the matrix is too close to "
             "defective. Build it from explicit factors via synthesize_matrix "
             "instead."
         )

@@ -126,7 +126,8 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
     ``eigvec_at(idx)`` returns an eigenvector for w[idx], the eigenvalue
     nearest rho; it is called only when that eigenvalue equals rho. rho, its
     distance to the spectrum and the dominance margin are measured against
-    ``tol.rel_eps * scale``, so these verdicts are invariant under positive
+    ``tol.rel_eps * scale``, and the eigenvector, scaled to largest entry 1,
+    against ``tol.rel_eps``, so these verdicts are invariant under positive
     scaling of the matrix.
     """
     negligible = tol.rel_eps * scale
@@ -145,7 +146,7 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
         col = col / col[k]
         vec = col.real.copy()
         eigvec = vec
-        eigvec_positive = bool(np.all(vec > tol.abs_eps))
+        eigvec_positive = bool(np.all(vec > tol.rel_eps))
 
     cluster_radius = 1e-6 * scale
     in_cluster = dist <= cluster_radius

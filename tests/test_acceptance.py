@@ -203,7 +203,7 @@ def test_criterion_6_taylor_oracle_equivalence():
 
 def test_criterion_7_reality_and_reflection():
     rng = np.random.default_rng(707)
-    tol = Tolerance(abs_eps=1e-10, rel_eps=0.0)
+    tol = Tolerance(rel_eps=0.0)
     reality_ok = True
     reflection_ok = True
     for f in differentiable_catalogue():

@@ -80,6 +80,18 @@ class TestCheckPF:
         assert code == 2
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance(self, tmp_path, capsys, tol):
+        # every comparison with NaN is false, so a NaN tolerance would fail
+        # all five conditions of a strong Perron-Frobenius matrix
+        code = main([
+            "check-pf", write_matrix(tmp_path, [[1, 1], [1, 0]]), "--tol", tol
+        ])
+        assert code == 2
+        assert f"--tol must be finite and nonnegative, got {tol}" in (
+            capsys.readouterr().err
+        )
+
 
 class TestCheckEvpos:
     def test_golden(self, tmp_path, capsys):
@@ -314,6 +326,31 @@ class TestApply:
         assert len(line) == 1
         assert float(line[0].split(":")[1]) < 1e-10
 
+    def test_oracle_deviation_is_relative_below_one(self, tmp_path, capsys, monkeypatch):
+        # 2 f(A) is off by 100% at any scale, here a rotation of size 1e-20
+        import matfrob.cli
+
+        original = matfrob.cli.matrix_function
+        monkeypatch.setattr(
+            matfrob.cli, "matrix_function", lambda *a: 2.0 * original(*a)
+        )
+        rows = [[0.0, -1e-20], [1e-20, 0.0]]
+        code = main(["apply", write_matrix(tmp_path, rows), "--fn", "pow:1", "--oracle"])
+        assert code == 1
+        line = [l for l in capsys.readouterr().err.splitlines() if "oracle" in l]
+        assert float(line[0].split(":")[1]) == pytest.approx(1.0)
+
+    def test_oracle_of_a_zero_series(self, tmp_path, capsys, monkeypatch):
+        # 0/0 reads as 0; a nonzero f(A) against a zero series as inf
+        import matfrob.cli
+
+        path = write_matrix(tmp_path, GOLDEN)
+        assert main(["apply", path, "--fn", "poly:0", "--oracle"]) == 0
+        assert "relative oracle deviation: 0.000e+00" in capsys.readouterr().err
+        monkeypatch.setattr(matfrob.cli, "matrix_function", lambda *a: np.ones((2, 2)))
+        assert main(["apply", path, "--fn", "poly:0", "--oracle"]) == 1
+        assert "relative oracle deviation: inf" in capsys.readouterr().err
+
     def test_out_file_swaps_channels(self, tmp_path, capsys):
         out_doc = tmp_path / "result.json"
         code = main([
@@ -394,6 +431,40 @@ class TestApply:
         # similar matrices: same trace, different entries
         assert abs(np.trace(a) - np.trace(b)) < 1e-9
         assert abs(np.trace(a) - 3.0) < 1e-9
+
+
+class TestSmallScale:
+    """Below ||A|| = 1 no absolute threshold turns a result wrong."""
+
+    def test_identity_function_of_a_tiny_rotation(self, tmp_path, capsys):
+        # +-1e-20 i is a complex pair at its own scale, not a real double
+        # eigenvalue 0 split by rounding; pow:1 gives back A
+        rows = [[0.0, -1e-20], [1e-20, 0.0]]
+        code = main(["apply", write_matrix(tmp_path, rows), "--fn", "pow:1"])
+        assert code == 0
+        got = np.array(json.loads(capsys.readouterr().out)["rows"])
+        assert np.max(np.abs(got - rows)) <= 1e-12 * 1e-20
+
+    def test_tiny_gaussian_matrix_reconstructs(self, tmp_path, capsys):
+        # 1e-13 times a seeded 6x6 Gaussian has 2 complex pairs whose
+        # imaginary parts are far above rounding at that scale
+        a = 1e-13 * np.random.default_rng(0).standard_normal((6, 6))
+        code = main(["apply", write_matrix(tmp_path, a.tolist()), "--fn", "pow:1"])
+        assert code == 0
+        got = np.array(json.loads(capsys.readouterr().out)["rows"])
+        err = np.linalg.norm(got - a, np.inf)
+        assert err <= 1e-12 * np.linalg.norm(a, np.inf)
+
+    def test_odd_root_of_a_negative_eigenvalue(self, tmp_path, capsys):
+        # imaginary dust is measured against ||f(A)||, so the non-real result
+        # is refused at 1e-30 as at 1
+        for scale in (1.0, 1e-30):
+            spec = {"real_blocks": [{"lambda": 3 * scale}, {"lambda": -scale}]}
+            code = main(["apply", write_spec(tmp_path, spec), "--fn", "root:3"])
+            captured = capsys.readouterr()
+            assert code == 2, scale
+            assert captured.out == ""
+            assert "root:3 is not real-valued on this spectrum" in captured.err
 
 
 class TestVerify:
@@ -480,6 +551,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "AGREE" in out and "DISAGREE" not in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance(self, tmp_path, capsys, tol):
+        code = main([
+            "verify", write_spec(tmp_path, PF_SPEC), "--fn", "exp", "--tol", tol
+        ])
+        assert code == 2
+        assert f"--tol must be finite and nonnegative, got {tol}" in (
+            capsys.readouterr().err
+        )
 
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "verify.json"

@@ -30,7 +30,6 @@ finite_floats = st.floats(
 class TestTolerance:
     def test_defaults(self):
         tol = Tolerance()
-        assert tol.abs_eps == 1e-9
         assert tol.rel_eps == 1e-9
 
     def test_eq_scalars(self):
@@ -38,20 +37,25 @@ class TestTolerance:
         assert tol.eq(1.0, 1.0)
         assert tol.eq(1.0, 1.0 + 5e-10)
         assert not tol.eq(1.0, 1.0 + 5e-9)
-        assert tol.eq(0.0, 5e-10)
+        assert not tol.eq(0.0, 5e-10)  # no absolute part
         assert tol.eq(1e12, 1e12 + 500.0)  # relative part scales
         assert tol.eq(2 + 1j, 2 + 1j + 1e-10j)
 
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
-            Tolerance(abs_eps=-1e-9)
+            Tolerance(rel_eps=-1e-9)
         with pytest.raises(ValueError):
             Tolerance(rel_eps=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(rel_eps=value)
 
     @given(a=finite_floats, b=finite_floats)
     @settings(max_examples=200)
     def test_eq_symmetric(self, a, b):
-        tol = Tolerance(abs_eps=1e-6, rel_eps=1e-6)
+        tol = Tolerance(rel_eps=1e-6)
         assert tol.eq(a, b) == tol.eq(b, a)
 
 
@@ -84,12 +88,22 @@ class TestMatInverse:
             mat_inverse(np.ones((2, 3)))
 
     def test_condition_1e12_is_singular(self):
-        # smallest singular value above abs_eps, but cond(a) = 1e12
+        # cond(a) = 1e12 is singular, 1e11 is not
         with pytest.raises(SingularMatrixError):
             mat_inverse(np.diag([1e4, 1e-8]))
         np.testing.assert_allclose(
             mat_inverse(np.diag([1e3, 1e-8])), np.diag([1e-3, 1e8]), rtol=1e-15
         )
+
+
+    def test_singularity_is_relative_at_every_scale(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        inv = mat_inverse(a)
+        for k in (-1000, -500, -100, -40, 40, 100, 500, 1000):
+            c = 2.0**k
+            np.testing.assert_allclose(mat_inverse(c * a), inv / c, rtol=1e-15, atol=0)
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(c * np.diag([1e4, 1e-8]))
 
 
 class TestConditionEstimate:

@@ -381,6 +381,33 @@ class TestMatrixFunction:
             np.testing.assert_allclose(fat, fa.T, atol=1e-8)
 
 
+# c = 2^k: exact scalings that keep cA a normal float64 matrix
+POWER_OF_TWO_SCALES = (-1000, -500, -100, -43, -20, 20, 100, 500, 1000)
+
+
+class TestScaleEquivariance:
+    """No threshold of matrix_function depends on the scale of A."""
+
+    def test_identity_function_returns_the_matrix(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            a = rng.standard_normal((int(rng.integers(2, 8)),) * 2)
+            for k in POWER_OF_TWO_SCALES:
+                ca = 2.0**k * a
+                got = matrix_function(extract_diagonalizable_structure(ca), Monomial(1))
+                err = np.linalg.norm(got - ca, np.inf)
+                assert err <= 1e-12 * np.linalg.norm(ca, np.inf), k
+
+    def test_odd_root_of_a_negative_eigenvalue_is_never_real(self):
+        r = random_orthogonal(np.random.default_rng(0), 2)
+        for k in POWER_OF_TWO_SCALES:
+            c = 2.0**k
+            spec = JordanSpec(real_blocks=((3.0 * c, 1), (-c, 1)))
+            _, factors = synthesize_matrix(spec, r)
+            with pytest.raises(NonRealResultError, match="not real-valued"):
+                matrix_function(factors, PrincipalRoot(3))
+
+
 class MatmulRecorder(np.ndarray):
     """Array view that records the operand dtypes of each matmul it joins."""
 

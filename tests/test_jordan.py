@@ -199,6 +199,21 @@ class TestFactors:
         with pytest.raises(ValueError):
             RealJordanFactors(spec, np.eye(2), 2 * np.eye(2))
 
+    def test_inverse_check_has_no_absolute_floor(self):
+        # the normalised 64x64 Hadamard matrix H has max|H| * max|H^-1| =
+        # 1/64, so an error of 1e-6 in one entry of H^-1 = H^T, which shows
+        # as 1.25e-7 in H H^-1 - I, exceeds 1e-6 / 64
+        h = np.ones((1, 1))
+        for _ in range(6):
+            h = np.block([[h, h], [h, -h]])
+        h = h / 8.0
+        spec = JordanSpec(real_blocks=((1.0, 1),) * 64)
+        RealJordanFactors(spec, h, h.T)
+        bad = h.T.copy()
+        bad[0, 0] += 1e-6
+        with pytest.raises(ValueError, match="not an inverse"):
+            RealJordanFactors(spec, h, bad)
+
     def test_arrays_read_only(self):
         spec = JordanSpec(real_blocks=((2.0, 2),))
         f = RealJordanFactors(spec, np.eye(2), np.eye(2))
@@ -260,7 +275,7 @@ class TestExtract:
     def test_singular_basis_is_defective(self, monkeypatch):
         import matfrob.jordan
 
-        def singular(a, tol):
+        def singular(a):
             raise SingularMatrixError("smallest singular value 0")
 
         monkeypatch.setattr(matfrob.jordan, "mat_inverse", singular)
@@ -271,6 +286,49 @@ class TestExtract:
             "synthesize_matrix instead.",
         ):
             extract_diagonalizable_structure(B)
+
+
+# c = 2^k for k from -1000 to 1000: cA is exact and stays a normal float64
+# matrix at both ends (LAPACK's results on cA still differ from c times its
+# results on A by rounding, and may come in another order)
+POWER_OF_TWO_SCALES = (-1000, -500, -100, -43, -20, 20, 100, 500, 1000)
+
+
+class TestScaleEquivariance:
+    """Extraction of cA is extraction of A times c, at any scale."""
+
+    @staticmethod
+    def eigenvalues(factors):
+        """Real eigenvalues and pair representatives, each sorted."""
+        spec = factors.spec
+        return (
+            np.sort([lam for lam, _ in spec.real_blocks]),
+            np.sort_complex([lam for lam, _ in spec.complex_blocks]),
+        )
+
+    def test_seeded_gaussian_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            a = rng.standard_normal((int(rng.integers(2, 8)),) * 2)
+            base = self.eigenvalues(extract_diagonalizable_structure(a))
+            for k in POWER_OF_TWO_SCALES:
+                c = 2.0**k
+                factors = extract_diagonalizable_structure(c * a)
+                for want, got in zip(base, self.eigenvalues(factors)):
+                    assert got.shape == want.shape, k
+                    np.testing.assert_allclose(got, c * want, rtol=1e-12, atol=0)
+                resid = np.linalg.norm(factors.reconstruct() - c * a, np.inf)
+                assert resid <= 1e-12 * np.linalg.norm(c * a, np.inf), k
+
+    def test_tiny_gaussian_keeps_its_complex_pairs(self):
+        # 1e-13 A has pairs with imaginary parts near 1e-13, well above
+        # rounding at its own scale; they are not split real eigenvalues
+        a = 1e-13 * np.random.default_rng(0).standard_normal((6, 6))
+        factors = extract_diagonalizable_structure(a)
+        assert len(factors.spec.complex_blocks) == 2
+        assert len(factors.spec.real_blocks) == 2
+        resid = np.linalg.norm(factors.reconstruct() - a, np.inf)
+        assert resid <= 1e-12 * np.linalg.norm(a, np.inf)
 
 
 class TestOneSingularValueDecomposition:

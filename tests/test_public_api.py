@@ -1,6 +1,8 @@
 """The names `matfrob` exports, and the README example that uses them."""
 
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -72,6 +74,16 @@ def test_all_is_exactly_the_exported_names():
     assert set(matfrob.__all__) == EXPORTED
     for name in matfrob.__all__:
         assert getattr(matfrob, name) is not None, name
+
+
+def test_tolerance_is_one_relative_knob():
+    # every threshold is relative; no absolute tolerance can be set
+    from matfrob.core import mat_inverse
+
+    fields = dataclasses.fields(matfrob.Tolerance)
+    assert tuple(f.name for f in fields) == ("rel_eps",)
+    for fn in (mat_inverse, matfrob.extract_diagonalizable_structure):
+        assert tuple(inspect.signature(fn).parameters) == ("a",), fn.__name__
 
 
 def test_submodule_names_are_not_exported():
