@@ -176,6 +176,8 @@ def _evpos_evidence(report) -> str:
 
 def cmd_check_evpos(args) -> int:
     tol = _tolerance(args)
+    if args.kmax < 1:
+        raise MatFrobError(f"--kmax must be at least 1, got {args.kmax}")
     name, a = parse_matrix_document(load_document(args.input))
     report = eventually_positive_check(a, tol)
     threshold = power_threshold(a, args.kmax)

@@ -107,33 +107,29 @@ def _number(x, where: str) -> float:
     return value
 
 
-def parse_matrix_document(doc: dict) -> tuple[str, np.ndarray]:
-    """Validate a matrix document; returns (name, square check left to caller).
+def _parse_rows(rows, field: str) -> np.ndarray:
+    """The list of rows in a document's `field` as a float array.
 
-    Entries must be finite numbers. Rows are type-checked as a whole and
-    converted in one array build; only a row holding some other type is
-    walked entry by entry, to name it.
+    Entries must be finite numbers; errors name them as field[i][j]. Rows
+    are type-checked as a whole and converted in one array build; only a
+    row holding some other type is walked entry by entry, to name it.
     """
-    name = doc.get("name", "matrix")
-    if not isinstance(name, str):
-        raise DocumentFormatError(f"name must be a string, got {name!r}")
-    rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
-        raise DocumentFormatError("rows must be a nonempty list of lists")
+        raise DocumentFormatError(f"{field} must be a nonempty list of lists")
     width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
-            raise DocumentFormatError(f"rows[{i}] must be a nonempty list")
+            raise DocumentFormatError(f"{field}[{i}] must be a nonempty list")
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise DocumentFormatError(
-                f"rows[{i}] has {len(row)} entries, expected {width}"
+                f"{field}[{i}] has {len(row)} entries, expected {width}"
             )
         if not set(map(type, row)) <= _NUMBER_TYPES:
             for x in row:
                 if type(x) not in _NUMBER_TYPES:
-                    _number(x, f"rows[{i}]")
+                    _number(x, f"{field}[{i}]")
     try:
         data = np.array(rows, dtype=float)
     except OverflowError:
@@ -142,9 +138,17 @@ def parse_matrix_document(doc: dict) -> tuple[str, np.ndarray]:
     if bad.size:
         i, j = bad[0]
         raise DocumentFormatError(
-            f"rows[{i}][{j}]: expected a finite number, got {rows[i][j]!r}"
+            f"{field}[{i}][{j}]: expected a finite number, got {rows[i][j]!r}"
         )
-    return name, data
+    return data
+
+
+def parse_matrix_document(doc: dict) -> tuple[str, np.ndarray]:
+    """Validate a matrix document; returns (name, square check left to caller)."""
+    name = doc.get("name", "matrix")
+    if not isinstance(name, str):
+        raise DocumentFormatError(f"name must be a string, got {name!r}")
+    return name, _parse_rows(doc.get("rows"), "rows")
 
 
 def matrix_document(name: str, a) -> dict:
@@ -196,7 +200,7 @@ def parse_spec_document(doc: dict) -> tuple[str, JordanSpec, np.ndarray | None]:
         raise DocumentFormatError(str(exc)) from exc
     transform = None
     if "transform" in doc and doc["transform"] is not None:
-        _, transform = parse_matrix_document({"rows": doc["transform"]})
+        transform = _parse_rows(doc["transform"], "transform")
         if transform.shape[0] != transform.shape[1]:
             raise DocumentFormatError(
                 f"transform must be square, got shape {transform.shape}"

@@ -1,11 +1,13 @@
 """Scalar function calculus on matrices through explicit Jordan factors.
 
-Functions are small immutable expression trees. Each node knows its domain,
-evaluates with the principal branch wherever a branch choice exists, and
-differentiates to arbitrary order through exact closed-form rules. Exact
-rules matter: per-block evaluation needs f^(j)(lambda) / j! up to the block
-size, and numerical differentiation cannot deliver those orders at the
-accuracy the reconstruction demands.
+Functions are small immutable expression trees. Each node says whether it
+is defined at a point (``defined_at``; every domain is closed under
+conjugation), evaluates with the principal branch wherever a branch choice
+exists, and differentiates to arbitrary order through exact closed-form
+rules; ``eval`` is the order-0 ``deriv``. Exact rules matter: per-block
+evaluation needs f^(j)(lambda) / j! up to the block size, and numerical
+differentiation cannot deliver those orders at the accuracy the
+reconstruction demands.
 
 The value of f on a matrix in factored form A = R J R^{-1} is assembled
 blockwise: an upper triangular Toeplitz block per real Jordan block, and a
@@ -32,7 +34,6 @@ __all__ = [
     "NonRealResultError",
     "NotEntireError",
     "NotDefinedOnSpectrumError",
-    "DomainDescriptor",
     "SpectralFunction",
     "Monomial",
     "PrincipalRoot",
@@ -74,44 +75,18 @@ class NotDefinedOnSpectrumError(MatFrobError):
     """The Jordan structure needs values or derivatives f cannot provide."""
 
 
-@dataclass(frozen=True)
-class DomainDescriptor:
-    """Subset of the complex plane described by exclusion flags.
-
-    Both exclusions are symmetric about the real axis, so every describable
-    domain is self-conjugate, which the conjugate-symmetry machinery needs.
-    """
-
-    excludes_nonpositive_reals: bool = False
-    excludes_origin: bool = False
-
-    def contains(self, z: complex) -> bool:
-        z = complex(z)
-        if self.excludes_nonpositive_reals and z.imag == 0.0 and z.real <= 0.0:
-            return False
-        if self.excludes_origin and z == 0.0:
-            return False
-        return True
-
-    def merged(self, other: "DomainDescriptor") -> "DomainDescriptor":
-        """Intersection of the two domains (union of exclusions)."""
-        return DomainDescriptor(
-            self.excludes_nonpositive_reals or other.excludes_nonpositive_reals,
-            self.excludes_origin or other.excludes_origin,
-        )
-
-
 class SpectralFunction:
     """Base scalar function node.
 
     Subclasses implement ``_eval`` and ``_deriv`` (order >= 1), override
-    ``domain`` when not all of C, and ``max_derivative_order`` when not
-    smooth. Entire nodes additionally provide ``taylor_coefficients``.
+    ``defined_at`` when not defined on all of C, and
+    ``max_derivative_order`` when not smooth. Entire nodes additionally
+    provide ``taylor_coefficients``.
     """
 
-    @property
-    def domain(self) -> DomainDescriptor:
-        return DomainDescriptor()
+    def defined_at(self, z: complex) -> bool:
+        """Whether z is in f's domain, which must be closed under conjugation."""
+        return True
 
     @property
     def is_entire(self) -> bool:
@@ -126,19 +101,15 @@ class SpectralFunction:
         raise NotImplementedError
 
     def eval(self, z: complex) -> complex:
-        z = complex(z)
-        self._require_in_domain(z)
-        try:
-            return self._eval(z)
-        except OverflowError as exc:
-            raise self._overflow(z, 0) from exc
+        return self.deriv(z, 0)
 
     def deriv(self, z: complex, order: int) -> complex:
         order = int(order)
         if order < 0:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
         z = complex(z)
-        self._require_in_domain(z)
+        if not self.defined_at(z):
+            raise DomainError(f"{z} is outside the domain of {self.describe()}")
         cap = self.max_derivative_order()
         if cap is not None and order > cap:
             raise NonDifferentiableError(
@@ -147,20 +118,15 @@ class SpectralFunction:
         try:
             return self._deriv(z, order) if order else self._eval(z)
         except OverflowError as exc:
-            raise self._overflow(z, order) from exc
+            what = f"order-{order} derivative of " if order else ""
+            raise DomainError(
+                f"{what}{self.describe()} overflows float64 at {z}"
+            ) from exc
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
         raise NotEntireError(
             f"{self.describe()} is not entire; no globally convergent series"
         )
-
-    def _require_in_domain(self, z: complex) -> None:
-        if not self.domain.contains(z):
-            raise DomainError(f"{z} is outside the domain of {self.describe()}")
-
-    def _overflow(self, z: complex, order: int) -> DomainError:
-        what = f"order-{order} derivative of " if order else ""
-        return DomainError(f"{what}{self.describe()} overflows float64 at {z}")
 
     def _eval(self, z: complex) -> complex:
         raise NotImplementedError
@@ -223,11 +189,10 @@ class PrincipalRoot(SpectralFunction):
             raise ValueError(f"degree must be at least 2, got {self.degree}")
         object.__setattr__(self, "degree", int(self.degree))
 
-    @property
-    def domain(self) -> DomainDescriptor:
-        if self.degree % 2 == 0:
-            return DomainDescriptor(excludes_nonpositive_reals=True)
-        return DomainDescriptor(excludes_origin=True)
+    def defined_at(self, z: complex) -> bool:
+        if self.degree % 2:
+            return z != 0
+        return not (z.imag == 0.0 and z.real <= 0.0)
 
     def describe(self) -> str:
         return f"root:{self.degree}"
@@ -348,12 +313,8 @@ class ScaledSum(SpectralFunction):
                 raise TypeError(f"expected a SpectralFunction term, got {type(f)!r}")
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def domain(self) -> DomainDescriptor:
-        dom = DomainDescriptor()
-        for _, f in self.terms:
-            dom = dom.merged(f.domain)
-        return dom
+    def defined_at(self, z: complex) -> bool:
+        return all(f.defined_at(z) for _, f in self.terms)
 
     @property
     def is_entire(self) -> bool:
@@ -402,7 +363,7 @@ def defined_on_spectrum(f: SpectralFunction, spec: JordanSpec) -> CheckResult:
     """
     cap = f.max_derivative_order()
     for lam, index in spec.distinct_eigenvalues():
-        if not f.domain.contains(lam):
+        if not f.defined_at(lam):
             return CheckResult(
                 False, (lam, 0), f"{lam} is outside the domain of {f.describe()}"
             )

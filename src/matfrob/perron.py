@@ -414,19 +414,26 @@ def frobenius_check(
     ``|lam| < rho * (1 - tol.rel_eps)``, so no threshold depends on the
     absolute size of f or of rho. A spectrum point outside f's domain fails
     conjugate symmetry.
+
+    f is evaluated once per distinct point among rho, the spectrum points
+    and their conjugates. A repeated eigenvalue is examined, and noted,
+    once, at its first occurrence, which keeps the witnesses of the full
+    multiset.
     """
     rho = float(rho)
     notes: list[str] = []
-    points = [complex(z) for z in spectrum]
+    points = list(dict.fromkeys(complex(z) for z in spectrum))
+    values: dict[complex, complex | None] = {}
 
     def value(z: complex) -> complex | None:
-        """f(z) where f is defined at z and at conj z, else None."""
-        in_dom = f.domain.contains(z) and f.domain.contains(z.conjugate())
-        return f.eval(z) if in_dom else None
+        """f(z), evaluated once per distinct z; None where f is undefined."""
+        if z not in values:
+            values[z] = f.eval(z) if f.defined_at(z) else None
+        return values[z]
 
     f_rho = value(complex(rho))
-    values = [value(z) for z in points]
-    f_scale = max((abs(v) for v in [f_rho, *values] if v is not None), default=0.0)
+    at_points = [f_rho, *map(value, points)]
+    f_scale = max((abs(v) for v in at_points if v is not None), default=0.0)
     negligible = tol.rel_eps * f_scale
     inside = rho * (1.0 - tol.rel_eps)
 
@@ -447,13 +454,14 @@ def frobenius_check(
     dom_ok = True
     marginal = False
     dom_worst: tuple[complex, float, float] | None = None
-    for z, val in zip(points, values):
-        if val is None:
+    for z in points:
+        val, val_conj = value(z), value(z.conjugate())
+        if val is None or val_conj is None:
             conj_ok = False
             conj_worst = (z, float("inf"))
             notes.append(f"{_fmt_complex(z)} is outside the domain of {f.describe()}")
             continue
-        defect = abs(val.conjugate() - f.eval(z.conjugate()))
+        defect = abs(val.conjugate() - val_conj)
         if conj_worst is None or defect > conj_worst[1]:
             conj_worst = (z, defect)
         if defect > negligible:

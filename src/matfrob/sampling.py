@@ -20,6 +20,10 @@ __all__ = [
     "random_pf_factors",
 ]
 
+# rho is drawn from RHO_RANGE; the transform's column scales from SCALE_RANGE
+RHO_RANGE = (1.0, 3.0)
+SCALE_RANGE = (0.6, 1.8)
+
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish random orthogonal matrix via QR with sign canonicalization."""
@@ -49,10 +53,7 @@ def _separated(value: complex, taken: list[complex], gap: float) -> bool:
 
 
 def random_pf_spec(
-    rng: np.random.Generator,
-    max_dim: int = 8,
-    max_block_size: int = 1,
-    rho_range: tuple[float, float] = (1.0, 3.0),
+    rng: np.random.Generator, max_dim: int = 8, max_block_size: int = 1
 ) -> JordanSpec:
     """Random spec whose assembled matrix is strong Perron-Frobenius ready.
 
@@ -61,7 +62,7 @@ def random_pf_spec(
     real axis, for complex pairs), and may sit in Jordan blocks up to
     max_block_size.
     """
-    rho = float(rng.uniform(*rho_range))
+    rho = float(rng.uniform(*RHO_RANGE))
     target = int(rng.integers(1, max_dim)) if max_dim > 1 else 0
     real_blocks: list[tuple[float, int]] = [(rho, 1)]
     complex_blocks: list[tuple[complex, int]] = []
@@ -96,11 +97,7 @@ def random_pf_spec(
 
 
 def random_pf_factors(
-    rng: np.random.Generator,
-    max_dim: int = 8,
-    max_block_size: int = 1,
-    rho_range: tuple[float, float] = (1.0, 3.0),
-    scale_range: tuple[float, float] = (0.6, 1.8),
+    rng: np.random.Generator, max_dim: int = 8, max_block_size: int = 1
 ) -> RealJordanFactors:
     """Random factored matrix with the strong Perron-Frobenius property.
 
@@ -110,9 +107,9 @@ def random_pf_factors(
     matrix and its transpose are both strong Perron-Frobenius, hence the
     matrix is eventually positive. Condition numbers stay below ~10.
     """
-    spec = random_pf_spec(rng, max_dim, max_block_size, rho_range)
+    spec = random_pf_spec(rng, max_dim, max_block_size)
     n = spec.total_dimension
     q = positive_column_orthogonal(rng, n)
-    d = rng.uniform(*scale_range, size=n)
+    d = rng.uniform(*SCALE_RANGE, size=n)
     _, factors = synthesize_matrix(spec, q * d)
     return factors

@@ -9,6 +9,7 @@ from matfrob import (
     Polynomial,
     PrincipalRoot,
     ScaledSum,
+    SpectralFunction,
 )
 
 
@@ -47,14 +48,14 @@ NEGATE = ScaledSum(((-1.0, Monomial(1)),))
 def random_domain_points(rng, f, count, radius=2.0):
     """Random complex points inside f's domain, away from branch cuts."""
     pts = []
-    excludes_cut = f.domain.excludes_nonpositive_reals or f.domain.excludes_origin
+    excludes_cut = not f.defined_at(0.0)
     while len(pts) < count:
         r = rng.uniform(0.3, radius)
         theta = rng.uniform(-np.pi, np.pi)
         z = complex(r * np.cos(theta), r * np.sin(theta))
         if excludes_cut and abs(z.imag) < 1e-3 * max(1.0, abs(z.real)):
             continue
-        if not f.domain.contains(z):
+        if not f.defined_at(z):
             continue
         pts.append(z)
     return pts
@@ -79,6 +80,31 @@ def split_double_eigenvalue_matrix(seed=70, lam=1.0):
     split = (np.abs(w.imag) > 0.0) & (np.abs(w.imag) <= 1e-12 * rho)
     assert np.count_nonzero(split) == 2, w
     return a, r, lams
+
+
+def count_scalar_calls(monkeypatch):
+    """Record (f, z, order) for every eval/deriv call not made from inside
+    another (an eval is order 0); returns the list."""
+    calls = []
+    depth = [0]
+
+    def counting(original):
+        def wrapper(self, z, *order):
+            if not depth[0]:
+                calls.append((self, complex(z), int(order[0]) if order else 0))
+            depth[0] += 1
+            try:
+                return original(self, z, *order)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in ("eval", "deriv"):
+        monkeypatch.setattr(
+            SpectralFunction, name, counting(getattr(SpectralFunction, name))
+        )
+    return calls
 
 
 def count_svd_calls(monkeypatch):

@@ -131,6 +131,18 @@ class TestCheckEvpos:
         assert "eigenvalue-based verdict YES (dominance margin 1)" in defect[0]
         assert "brute-force power threshold none up to k_max = 3" in defect[0]
 
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_kmax_below_one_rejected_by_name(self, tmp_path, capsys, kmax):
+        # an unusable option exits 2 with its name, before any work: exit 1
+        # would read as "not eventually positive"
+        code = main([
+            "check-evpos", write_matrix(tmp_path, [[1, 1], [1, 0]]), "--kmax", kmax
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"--kmax must be at least 1, got {kmax}" in captured.err
+        assert captured.out == ""
+
     def test_disagreement_names_failed_conditions(self, tmp_path, capsys):
         # a tolerance of 10 * ||B|| makes rho negligible on both sides, while
         # the powers still turn positive at 4

@@ -175,7 +175,7 @@ class TestSpecDocuments:
             ({"complex_blocks": [{"re": 1.0, "im": "V"}]}, "complex_blocks[0].im"),
             (
                 {"real_blocks": [{"lambda": 1.0}], "transform": [["V"]]},
-                "rows[0][0]",
+                "transform[0][0]",
             ),
         ],
     )
@@ -199,6 +199,22 @@ class TestSpecDocuments:
     def test_missing_lambda_rejected(self):
         with pytest.raises(DocumentFormatError, match="lambda"):
             parse_spec_document({"real_blocks": [{"size": 2}]})
+
+    @pytest.mark.parametrize(
+        "transform, message",
+        [
+            ([[1, "x"], [0, 1]], "transform[0]: expected a number, got 'x'"),
+            ([], "transform must be a nonempty list of lists"),
+            ([[1.0, 0.0], 5], "transform[1] must be a nonempty list"),
+            ([[1.0, 0.0], [1.0]], "transform[1] has 1 entries, expected 2"),
+        ],
+    )
+    def test_transform_errors_name_the_transform(self, transform, message):
+        # a factored-form document has no rows field to point at
+        doc = {"real_blocks": [{"lambda": 1.0}, {"lambda": 2.0}], "transform": transform}
+        with pytest.raises(DocumentFormatError) as exc:
+            parse_spec_document(doc)
+        assert str(exc.value) == message
 
     def test_transform_dimension_checked(self):
         doc = {

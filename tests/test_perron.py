@@ -33,7 +33,12 @@ from matfrob.sampling import (
     random_pf_spec,
 )
 
-from helpers import NEGATE, differentiable_catalogue, full_catalogue
+from helpers import (
+    NEGATE,
+    count_scalar_calls,
+    differentiable_catalogue,
+    full_catalogue,
+)
 from test_funcalc import MatmulRecorder, SkewedDerivatives
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
@@ -405,6 +410,19 @@ class TestFrobeniusCheck:
         verdict = frobenius_check(PrincipalRoot(2), [1.0], 0.0)
         assert not verdict.positivity_at_rho
         assert any("domain" in n for n in verdict.notes)
+
+    def test_each_distinct_point_evaluated_once(self, monkeypatch):
+        # rho is the first spectrum point, -1 is repeated, and both are their
+        # own conjugates: two distinct points, so two evaluations
+        calls = count_scalar_calls(monkeypatch)
+        verdict = frobenius_check(Exp(), [2.0, -1.0, -1.0], 2.0)
+        assert verdict.overall
+        assert calls == [(Exp(), 2.0 + 0j, 0), (Exp(), -1.0 + 0j, 0)]
+
+    def test_undefined_point_noted_once(self):
+        verdict = frobenius_check(PrincipalRoot(2), [2.0, -1.0, -1.0], 2.0)
+        assert verdict.conjugate_witness == (-1.0 + 0j, float("inf"))
+        assert sum("domain" in n for n in verdict.notes) == 1
 
     def test_serialization(self):
         d = frobenius_check(Exp(), [2.0, 1.0], 2.0).to_dict()

@@ -60,7 +60,6 @@ SUBMODULE_ONLY = {
     "func_jordan_block": "funcalc",
     "func_real_jordan_block": "funcalc",
     "reflection_check": "funcalc",
-    "DomainDescriptor": "funcalc",
     "CheckResult": "funcalc",
     "PerronReport": "perron",
     "EventualPositivityReport": "perron",
@@ -91,6 +90,14 @@ def test_submodule_names_are_not_exported():
         assert not hasattr(matfrob, name), name
         assert hasattr(importlib.import_module(f"matfrob.{module}"), name), name
     assert not hasattr(matfrob, "derivative_reality_check")
+
+
+def test_domain_is_one_method():
+    # a node answers defined_at(z); there is no domain object to build
+    from matfrob import funcalc
+
+    assert not hasattr(funcalc, "DomainDescriptor")
+    assert not hasattr(matfrob.SpectralFunction, "domain")
 
 
 def test_readme_python_blocks_run(capsys):

@@ -1,5 +1,8 @@
 import runpy
+from collections import Counter
 from pathlib import Path
+
+from helpers import count_scalar_calls
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -72,3 +75,12 @@ def test_power_threshold_demo_output(capsys):
     demo = runpy.run_path(str(SCRIPTS / "power_threshold_demo.py"))
     demo["main"]()
     assert capsys.readouterr().out == DEMO_OUTPUT
+
+
+def test_suite_evaluates_each_scalar_value_at_most_twice(monkeypatch):
+    # once for the scalar side, once for the block that needs it
+    calls = count_scalar_calls(monkeypatch)
+    suite = runpy.run_path(str(SCRIPTS / "run_preservation_suite.py"))
+    assert suite["main"](["--trials", "50", "--seed", "1"]) == 0
+    per_triple = Counter(calls)
+    assert per_triple and max(per_triple.values()) <= 2
