@@ -40,9 +40,9 @@ from .documents import (
 from .funcalc import (
     Exp,
     Monomial,
+    NotDefinedOnSpectrumError,
     Polynomial,
     ScaledSum,
-    defined_on_spectrum,
     matrix_function,
     taylor_oracle,
 )
@@ -101,8 +101,10 @@ def _synthesize_from_spec(args, doc):
     """Factored-form document to (name, matrix, factors).
 
     A document without a transform gets a random orthogonal one drawn from
-    --seed.
+    --seed, which must be nonnegative.
     """
+    if args.seed < 0:
+        raise MatFrobError(f"--seed must be nonnegative, got {args.seed}")
     name, spec, transform = parse_spec_document(doc)
     if transform is None:
         rng = np.random.default_rng(args.seed)
@@ -132,8 +134,8 @@ def _oracle(a, f) -> np.ndarray:
     A sum is the weighted sum of its atoms' oracles. exp scales and
     squares: the series at A / 2^s, with ||A||_inf / 2^s <= 1/2, squared s
     times. pow and poly take their degree + 1 terms, which is exact. Any
-    other atom gets ORACLE_TERMS terms, and a non-entire one raises
-    NotEntireError.
+    other atom gets ORACLE_TERMS terms; one without taylor_coefficients
+    (root, abs) raises NotEntireError.
     """
     if isinstance(f, ScaledSum):
         return sum(w * _oracle(a, g) for w, g in f.terms)
@@ -234,18 +236,17 @@ def cmd_verify(args) -> int:
             "(real_blocks / complex_blocks)"
         )
     name, _, factors = _synthesize_from_spec(args, doc)
-    check = defined_on_spectrum(f, factors.spec)
-    if not check:
-        raise MatFrobError(
-            f"{args.fn} is not usable on this spectrum: {check.reason}. "
-            "Choose a function defined (with enough derivatives) at every "
-            "eigenvalue."
-        )
     try:
         result = verify_preservation_theorem(factors, f, tol)
     except PreconditionError as exc:
         raise MatFrobError(
             f"{exc}; the preservation comparison needs it as a baseline"
+        ) from exc
+    except NotDefinedOnSpectrumError as exc:
+        raise MatFrobError(
+            f"{args.fn} is not usable on this spectrum: {exc}. "
+            "Choose a function defined (with enough derivatives) at every "
+            "eigenvalue."
         ) from exc
     print(f"matrix: {name}   function: {args.fn}")
     print(result.format_text())

@@ -249,15 +249,10 @@ def _parse_atom(text: str) -> SpectralFunction:
         except ValueError as exc:
             raise ExpressionError(f"bad root atom {text!r}: {exc}") from exc
     if text.startswith("poly:"):
-        parts = text[5:].split(",")
         try:
-            coeffs = tuple(float(p) for p in parts)
+            return Polynomial(tuple(float(p) for p in text[5:].split(",")))
         except ValueError as exc:
             raise ExpressionError(f"bad polynomial atom {text!r}: {exc}") from exc
-        try:
-            return Polynomial(coeffs)
-        except ValueError as exc:
-            raise ExpressionError(str(exc)) from exc
     raise ExpressionError(
         f"unknown function atom {text!r} (expected exp, abs, pow:P, root:P or "
         "poly:c0,c1,...)"
@@ -285,4 +280,7 @@ def parse_function_expression(text: str) -> SpectralFunction:
         parsed.append((weight, _parse_atom(atom_text)))
     if len(parsed) == 1 and parsed[0][0] == 1.0:
         return parsed[0][1]
-    return ScaledSum(tuple(parsed))
+    try:
+        return ScaledSum(tuple(parsed))
+    except ValueError as exc:
+        raise ExpressionError(f"bad function expression {text!r}: {exc}") from exc

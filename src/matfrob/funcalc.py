@@ -78,8 +78,8 @@ class NotDefinedOnSpectrumError(MatFrobError):
 class SpectralFunction:
     """Base scalar function node.
 
-    Subclasses implement ``_eval`` and ``_deriv`` (order >= 1), override
-    ``defined_at`` when not defined on all of C, and
+    Subclasses implement ``_derivative(z, order)``, where order 0 is the
+    value, override ``defined_at`` when not defined on all of C, and
     ``max_derivative_order`` when not smooth. Entire nodes additionally
     provide ``taylor_coefficients``.
     """
@@ -87,10 +87,6 @@ class SpectralFunction:
     def defined_at(self, z: complex) -> bool:
         """Whether z is in f's domain, which must be closed under conjugation."""
         return True
-
-    @property
-    def is_entire(self) -> bool:
-        return False
 
     def max_derivative_order(self) -> int | None:
         """Largest available derivative order; None means unbounded."""
@@ -116,7 +112,7 @@ class SpectralFunction:
                 f"{self.describe()} has no derivative of order {order}"
             )
         try:
-            return self._deriv(z, order) if order else self._eval(z)
+            return self._derivative(z, order)
         except OverflowError as exc:
             what = f"order-{order} derivative of " if order else ""
             raise DomainError(
@@ -125,13 +121,11 @@ class SpectralFunction:
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
         raise NotEntireError(
-            f"{self.describe()} is not entire; no globally convergent series"
+            f"{self.describe()} is not entire; the series oracle does not apply"
         )
 
-    def _eval(self, z: complex) -> complex:
-        raise NotImplementedError
-
-    def _deriv(self, z: complex, order: int) -> complex:
+    def _derivative(self, z: complex, order: int) -> complex:
+        """f^(order)(z), with z in the domain and order within the cap."""
         raise NotImplementedError
 
 
@@ -146,17 +140,13 @@ class Monomial(SpectralFunction):
             raise ValueError(f"power must be a positive integer, got {self.power}")
         object.__setattr__(self, "power", int(self.power))
 
-    @property
-    def is_entire(self) -> bool:
-        return True
-
     def describe(self) -> str:
         return f"pow:{self.power}"
 
-    def _eval(self, z: complex) -> complex:
-        return z ** self.power
-
-    def _deriv(self, z: complex, order: int) -> complex:
+    def _derivative(self, z: complex, order: int) -> complex:
+        if not order:
+            # bare: 1.0 * w flips the sign of a zero imaginary part of w
+            return z ** self.power
         if order > self.power:
             return 0j
         coeff = 1.0
@@ -204,11 +194,10 @@ class PrincipalRoot(SpectralFunction):
             z = complex(z.real, 0.0)
         return z ** w
 
-    def _eval(self, z: complex) -> complex:
-        return self._power(z, 1.0 / self.degree)
-
-    def _deriv(self, z: complex, order: int) -> complex:
+    def _derivative(self, z: complex, order: int) -> complex:
         e = 1.0 / self.degree
+        if not order:
+            return self._power(z, e)  # bare, as in Monomial
         coeff = 1.0
         for i in range(order):
             coeff *= e - i
@@ -225,7 +214,7 @@ class Abs(SpectralFunction):
     def describe(self) -> str:
         return "abs"
 
-    def _eval(self, z: complex) -> complex:
+    def _derivative(self, z: complex, order: int) -> complex:
         return complex(abs(z))
 
 
@@ -233,17 +222,10 @@ class Abs(SpectralFunction):
 class Exp(SpectralFunction):
     """exp(z)."""
 
-    @property
-    def is_entire(self) -> bool:
-        return True
-
     def describe(self) -> str:
         return "exp"
 
-    def _eval(self, z: complex) -> complex:
-        return cmath.exp(z)
-
-    def _deriv(self, z: complex, order: int) -> complex:
+    def _derivative(self, z: complex, order: int) -> complex:
         return cmath.exp(z)
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
@@ -264,32 +246,24 @@ class Polynomial(SpectralFunction):
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
+        for c in coeffs:
+            if not math.isfinite(c):
+                raise ValueError(f"polynomial coefficients must be finite, got {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def is_entire(self) -> bool:
-        return True
 
     def describe(self) -> str:
         return "poly:" + ",".join(repr(c) for c in self.coeffs)
 
-    @staticmethod
-    def _horner(coeffs, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    def _eval(self, z: complex) -> complex:
-        return self._horner(self.coeffs, z)
-
-    def _deriv(self, z: complex, order: int) -> complex:
-        cs = list(self.coeffs)
+    def _derivative(self, z: complex, order: int) -> complex:
+        cs = self.coeffs
         for _ in range(order):
             cs = [k * c for k, c in enumerate(cs)][1:]
             if not cs:
                 return 0j
-        return self._horner(cs, z)
+        acc = 0j
+        for c in reversed(cs):
+            acc = acc * z + c
+        return acc
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
         c = np.zeros(terms)
@@ -308,17 +282,15 @@ class ScaledSum(SpectralFunction):
         terms = tuple((float(w), f) for w, f in self.terms)
         if not terms:
             raise ValueError("scaled sum needs at least one term")
-        for _, f in terms:
+        for w, f in terms:
+            if not math.isfinite(w):
+                raise ValueError(f"scaled sum weights must be finite, got {w!r}")
             if not isinstance(f, SpectralFunction):
                 raise TypeError(f"expected a SpectralFunction term, got {type(f)!r}")
         object.__setattr__(self, "terms", terms)
 
     def defined_at(self, z: complex) -> bool:
         return all(f.defined_at(z) for _, f in self.terms)
-
-    @property
-    def is_entire(self) -> bool:
-        return all(f.is_entire for _, f in self.terms)
 
     def max_derivative_order(self) -> int | None:
         caps = [f.max_derivative_order() for _, f in self.terms]
@@ -328,15 +300,11 @@ class ScaledSum(SpectralFunction):
     def describe(self) -> str:
         return " + ".join(f"{w!r}*{f.describe()}" for w, f in self.terms)
 
-    def _eval(self, z: complex) -> complex:
-        return sum(w * f.eval(z) for w, f in self.terms)
-
-    def _deriv(self, z: complex, order: int) -> complex:
+    def _derivative(self, z: complex, order: int) -> complex:
+        # the terms' public deriv, so an overflow names the term
         return sum(w * f.deriv(z, order) for w, f in self.terms)
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
-        if not self.is_entire:
-            raise NotEntireError(f"{self.describe()} is not entire")
         acc = np.zeros(terms)
         for w, f in self.terms:
             acc = acc + w * f.taylor_coefficients(terms)
@@ -490,17 +458,13 @@ def taylor_oracle(a, f: SpectralFunction, terms: int) -> np.ndarray:
     """Truncated power series sum_{k<terms} c_k A^k, evaluated by Horner.
 
     Independent of the Jordan route on purpose: it only needs matrix
-    products, so it cross-checks matrix_function for entire f. Non-entire
-    functions are rejected.
+    products, so it cross-checks matrix_function for entire f. A node
+    without taylor_coefficients raises NotEntireError.
     """
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
     m = as_real_matrix(a)
     require_square(m)
-    if not f.is_entire:
-        raise NotEntireError(
-            f"{f.describe()} is not entire; the series oracle does not apply"
-        )
     coeffs = np.asarray(f.taylor_coefficients(terms), dtype=float)
     eye = np.eye(m.shape[0])
     out = coeffs[-1] * eye

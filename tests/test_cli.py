@@ -508,7 +508,27 @@ class TestVerify:
         code = main(["verify", write_spec(tmp_path, PF_SPEC), "--fn", "root:2"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "not usable" in err
+        assert err == (
+            "error: root:2 is not usable on this spectrum: (-1+0j) is outside "
+            "the domain of root:2. Choose a function defined (with enough "
+            "derivatives) at every eigenvalue.\n"
+        )
+
+    def test_domain_checked_once(self, tmp_path, capsys, monkeypatch):
+        from matfrob import cli, funcalc
+
+        calls = []
+        original = funcalc.defined_on_spectrum
+
+        def counting(f, spec):
+            calls.append(f)
+            return original(f, spec)
+
+        monkeypatch.setattr(funcalc, "defined_on_spectrum", counting)
+        monkeypatch.setattr(cli, "defined_on_spectrum", counting, raising=False)
+        assert main(["verify", write_spec(tmp_path, PF_SPEC), "--fn", "exp"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_non_pf_baseline_rejected(self, tmp_path, capsys):
         spec = {
@@ -641,6 +661,37 @@ class TestSynthesize:
     def test_rejects_matrix_document(self, tmp_path, capsys):
         code = main(["synthesize", write_matrix(tmp_path, GOLDEN)])
         assert code == 2
+
+
+class TestOptionValues:
+    """An unusable option value exits 2 and names the option or the value;
+    exit 1 would read as "property fails"."""
+
+    @pytest.mark.parametrize(
+        "command", [["apply", "--fn", "exp"], ["verify", "--fn", "exp"], ["synthesize"]]
+    )
+    def test_negative_seed_rejected_by_name(self, tmp_path, capsys, command):
+        path = write_spec(tmp_path, {"real_blocks": [{"lambda": 2.0}, {"lambda": 1.0}]})
+        code = main([command[0], path, *command[1:], "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--seed must be nonnegative, got -1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fn, value",
+        [("nan*exp", "nan"), ("1e400*exp", "inf"), ("poly:nan,1", "nan"),
+         ("poly:1,inf", "inf")],
+    )
+    @pytest.mark.parametrize("command", ["apply", "verify"])
+    def test_non_finite_function_parameter_named(
+        self, tmp_path, capsys, command, fn, value
+    ):
+        code = main([command, write_spec(tmp_path, PF_SPEC), "--fn", fn])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"must be finite, got {value}" in err
+        assert "overflows" not in err
 
 
 class TestParser:

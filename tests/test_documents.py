@@ -272,6 +272,19 @@ class TestExpressionParsing:
         with pytest.raises(ExpressionError):
             parse_function_expression(bad)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nan*exp", "weights must be finite, got nan"),
+            ("1e400*exp + pow:1", "weights must be finite, got inf"),
+            ("poly:nan,1", "coefficients must be finite, got nan"),
+            ("poly:1,-inf", "coefficients must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_parameter_named(self, text, message):
+        with pytest.raises(ExpressionError, match=message):
+            parse_function_expression(text)
+
     def test_format_parse_round_trip(self):
         for f in full_catalogue() + [NEGATE, Polynomial((1 / 3, -2.0, 1e-17))]:
             text = f.describe()

@@ -46,11 +46,23 @@ class SkewedDerivatives(SpectralFunction):
     def describe(self):
         return "i*z"
 
+    def _derivative(self, z, order):
+        if not order:
+            return 1j * z
+        return 1j if order == 1 else 0j
+
+
+class TwoHooks(SpectralFunction):
+    """Written for the retired protocol: value and derivatives apart."""
+
+    def describe(self):
+        return "two-hooks"
+
     def _eval(self, z):
-        return 1j * z
+        return z
 
     def _deriv(self, z, order):
-        return 1j if order == 1 else 0j
+        return 1.0 if order == 1 else 0j
 
 
 class TestEval:
@@ -80,6 +92,27 @@ class TestEval:
         got = PrincipalRoot(3).eval(-8.0)
         expected = complex(1.0, math.sqrt(3.0))
         assert abs(got - expected) < 1e-12
+
+    @pytest.mark.parametrize(
+        "f, z, power",
+        [
+            (Monomial(2), -0.0 - 0.0j, 2),
+            (Monomial(1), complex(-0.0, -0.0), 1),
+            (Monomial(3), 1j, 3),
+            (Monomial(150), complex(1.5, -0.0), 150),
+            (PrincipalRoot(2), complex(1e300, -1e-320), 0.5),
+        ],
+    )
+    def test_value_keeps_signed_zero(self, f, z, power):
+        # the bare power: 1.0 * w would flip a zero imaginary part of w
+        assert repr(f.eval(z)) == repr(z ** power)
+
+    def test_two_hook_subclass_not_evaluated(self):
+        # one hook, order 0 included; _eval and _deriv are never called
+        with pytest.raises(NotImplementedError):
+            TwoHooks().eval(2.0)
+        with pytest.raises(NotImplementedError):
+            TwoHooks().deriv(2.0, 1)
 
     def test_cut_approached_from_above(self):
         # -0.0 imaginary part must not flip onto the lower branch
@@ -183,6 +216,23 @@ class TestTaylor:
             PrincipalRoot(2).taylor_coefficients(4)
         with pytest.raises(NotEntireError):
             Abs().taylor_coefficients(4)
+
+    def test_sum_names_its_non_entire_term(self):
+        f = ScaledSum(((1.0, Exp()), (2.0, PrincipalRoot(2))))
+        with pytest.raises(NotEntireError, match="^root:2 is not entire"):
+            f.taylor_coefficients(4)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("coeffs", [(math.nan, 1.0), (1.0, math.inf), (-math.inf,)])
+    def test_polynomial_coefficient(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Polynomial(coeffs)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_scaled_sum_weight(self, weight):
+        with pytest.raises(ValueError, match=f"weights must be finite, got {weight!r}"):
+            ScaledSum(((weight, Exp()),))
 
 
 class TestDefinedOnSpectrum:
@@ -524,9 +574,10 @@ class TestTaylorOracle:
         assert np.max(np.abs(got - oracle)) < 1e-8
 
     def test_non_entire_rejected(self):
-        with pytest.raises(NotEntireError):
+        message = "is not entire; the series oracle does not apply"
+        with pytest.raises(NotEntireError, match=f"^root:3 {message}$"):
             taylor_oracle(np.eye(2), PrincipalRoot(3), 10)
-        with pytest.raises(NotEntireError):
+        with pytest.raises(NotEntireError, match=f"^abs {message}$"):
             taylor_oracle(np.eye(2), Abs(), 10)
 
     def test_bad_terms_rejected(self):

@@ -100,6 +100,19 @@ def test_domain_is_one_method():
     assert not hasattr(matfrob.SpectralFunction, "domain")
 
 
+def test_each_node_has_one_evaluation_hook():
+    # order 0 is the value; entirety shows only as taylor_coefficients
+    nodes = [matfrob.SpectralFunction] + [
+        c for c in vars(matfrob).values()
+        if isinstance(c, type) and issubclass(c, matfrob.SpectralFunction)
+    ]
+    assert len(set(nodes)) == 7
+    for node in nodes:
+        assert "_derivative" in vars(node), node.__name__
+        for retired in ("_eval", "_deriv", "is_entire"):
+            assert not hasattr(node, retired), (node.__name__, retired)
+
+
 def test_readme_python_blocks_run(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert blocks
