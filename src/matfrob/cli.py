@@ -165,13 +165,17 @@ def cmd_check_pf(args) -> int:
 def _evpos_evidence(report) -> str:
     """The eigenvalue verdict with the numbers behind it, for a DEFECT line.
 
-    YES carries the smaller of the two sides' dominance margins; NO names
-    each failed condition with its side.
+    YES carries the smaller of the two sides' dominance margins, skipping a
+    side with no eigenvalue outside rho's cluster; NO names each failed
+    condition with its side.
     """
     sides = {"matrix": report.matrix_report, "transpose": report.transpose_report}
     if report.overall:
-        margin = min(r.dominance_margin for r in sides.values())
-        return f"YES (dominance margin {margin:.6g})"
+        margins = [r.dominance_margin for r in sides.values()]
+        margins = [m for m in margins if m is not None]
+        if margins:
+            return f"YES (dominance margin {min(margins):.6g})"
+        return "YES (no eigenvalue outside rho's cluster)"
     failed = [f"{side} {c}" for side, r in sides.items() for c in r.failed_conditions()]
     return f"NO (failed: {', '.join(failed)})"
 

@@ -10,10 +10,11 @@ differentiation cannot deliver those orders at the accuracy the
 reconstruction demands.
 
 The value of f on a matrix in factored form A = R J R^{-1} is assembled
-blockwise: an upper triangular Toeplitz block per real Jordan block, and a
-rotation-block Toeplitz per conjugate pair. The pair path requires the
-derivative values at lambda and conj(lambda) to be conjugates of each other;
-functions violating that cannot produce a real matrix and are rejected.
+blockwise from one table of f^(j)(lambda) on the spectrum: an upper
+triangular Toeplitz block per real Jordan block, and a rotation-block
+Toeplitz per conjugate pair. A real result needs f^(j)(conj lambda) =
+conj f^(j)(lambda); one test on the table decides it, here and in
+perron.frobenius_check.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "ScaledSum",
     "CheckResult",
     "defined_on_spectrum",
-    "reflection_check",
     "func_jordan_block",
     "func_real_jordan_block",
     "matrix_function",
@@ -64,7 +64,7 @@ class ConjugateSymmetryError(MatFrobError):
 
 
 class NonRealResultError(MatFrobError):
-    """Assembled matrix function has a non-negligible imaginary part."""
+    """A value or derivative f^(j) at a real eigenvalue is not real."""
 
 
 class NotEntireError(MatFrobError):
@@ -111,13 +111,7 @@ class SpectralFunction:
             raise NonDifferentiableError(
                 f"{self.describe()} has no derivative of order {order}"
             )
-        try:
-            return self._derivative(z, order)
-        except OverflowError as exc:
-            what = f"order-{order} derivative of " if order else ""
-            raise DomainError(
-                f"{what}{self.describe()} overflows float64 at {z}"
-            ) from exc
+        return _hook(self, z, order)
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
         raise NotEntireError(
@@ -127,6 +121,19 @@ class SpectralFunction:
     def _derivative(self, z: complex, order: int) -> complex:
         """f^(order)(z), with z in the domain and order within the cap."""
         raise NotImplementedError
+
+
+def _what(f: SpectralFunction, order: int) -> str:
+    """How a message names f^(order)."""
+    return f"{f'order-{order} derivative of ' if order else ''}{f.describe()}"
+
+
+def _hook(f: SpectralFunction, z: complex, order: int) -> complex:
+    """f._derivative(z, order); an OverflowError becomes a DomainError naming f."""
+    try:
+        return f._derivative(z, order)
+    except OverflowError as exc:
+        raise DomainError(f"{_what(f, order)} overflows float64 at {z}") from exc
 
 
 @dataclass(frozen=True)
@@ -301,8 +308,9 @@ class ScaledSum(SpectralFunction):
         return " + ".join(f"{w!r}*{f.describe()}" for w, f in self.terms)
 
     def _derivative(self, z: complex, order: int) -> complex:
-        # the terms' public deriv, so an overflow names the term
-        return sum(w * f.deriv(z, order) for w, f in self.terms)
+        # deriv has checked every term's domain and the smallest cap; an
+        # overflow still names the term
+        return sum(w * _hook(f, z, order) for w, f in self.terms)
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
         acc = np.zeros(terms)
@@ -345,75 +353,93 @@ def defined_on_spectrum(f: SpectralFunction, spec: JordanSpec) -> CheckResult:
     return CheckResult(True)
 
 
-def reflection_check(
-    f: SpectralFunction,
-    points,
-    max_order: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> CheckResult:
-    """conj(f^(j)(z)) == f^(j)(conj z) at each point for j <= max_order."""
-    for z in points:
-        z = complex(z)
-        for j in range(max_order + 1):
-            lhs = f.deriv(z, j).conjugate()
-            rhs = f.deriv(z.conjugate(), j)
-            if not tol.eq(lhs, rhs):
-                return CheckResult(
-                    False,
-                    (z, j),
-                    f"order-{j} derivative of {f.describe()} is not "
-                    f"conjugate-symmetric at {z}: conj gives {lhs}, "
-                    f"direct gives {rhs}",
-                )
-    return CheckResult(True)
+def _spectral_table(f: SpectralFunction, spec: JordanSpec) -> dict[complex, list]:
+    """f^(j)(lam) for each distinct eigenvalue lam of spec and j below its index.
+
+    Conjugate partners are rows of their own. Each value is computed once,
+    order 0 through ``eval`` and higher orders through ``deriv``. Raises
+    NotDefinedOnSpectrumError when the structure needs a value or
+    derivative f cannot provide.
+    """
+    check = defined_on_spectrum(f, spec)
+    if not check:
+        raise NotDefinedOnSpectrumError(check.reason)
+    return {
+        lam: [f.eval(lam), *(f.deriv(lam, j) for j in range(1, index))]
+        for lam, index in spec.distinct_eigenvalues()
+    }
 
 
-def func_jordan_block(f: SpectralFunction, lam: complex, size: int) -> np.ndarray:
-    """f applied to a single Jordan block.
+def _conjugate_defects(table: dict[complex, list], tol: Tolerance):
+    """(lam, j, defect, limit) for each entry f^(j)(lam) of the table.
 
-    Upper triangular Toeplitz: entry (i, i+k) equals f^(k)(lam) / k!.
+    The defect is |f^(j)(conj lam) - conj f^(j)(lam)|, which is
+    2 |Im f^(j)(lam)| at a real lam; the limit is tol.rel_eps times the
+    largest |f^(j)| on the spectrum. A defect above its limit fails.
+    """
+    for j in range(max(map(len, table.values()))):
+        limit = tol.rel_eps * max(abs(row[j]) for row in table.values() if len(row) > j)
+        for lam, row in table.items():
+            if len(row) > j:
+                yield lam, j, abs(table[lam.conjugate()][j] - row[j].conjugate()), limit
+
+
+def func_jordan_block(row, size: int) -> np.ndarray:
+    """f applied to a Jordan block of the given size, from row[k] = f^(k)(lam).
+
+    Upper triangular Toeplitz: entry (i, i+k) equals row[k] / k!.
     """
     if size < 1:
         raise ValueError(f"block size must be at least 1, got {size}")
-    lam = complex(lam)
     m = np.zeros((size, size), dtype=complex)
     for k in range(size):
-        val = f.deriv(lam, k) / math.factorial(k)
         idx = np.arange(size - k)
-        m[idx, idx + k] = val
+        m[idx, idx + k] = row[k] / math.factorial(k)
     return m
 
 
-def func_real_jordan_block(
-    f: SpectralFunction, lam: complex, size: int, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """f applied to the real block of the conjugate pair (lam, conj lam).
+def func_real_jordan_block(row, size: int) -> np.ndarray:
+    """f applied to the real block of the pair (lam, conj lam), from f^(k)(lam).
 
-    Block upper triangular Toeplitz with rotation_block(f^(k)(lam) / k!) on
-    the k-th block superdiagonal. Valid only when derivative values at the
-    pair are conjugates of each other, which is what makes the result real;
-    otherwise ConjugateSymmetryError is raised with the offending order.
+    Block upper triangular Toeplitz with rotation_block(row[k] / k!), where
+    row[k] = f^(k)(lam), on the k-th block superdiagonal. This is f's value
+    only when f^(k)(conj lam) = conj f^(k)(lam), which the caller tests on
+    the table.
     """
     if size < 1:
         raise ValueError(f"block size must be at least 1, got {size}")
-    lam = complex(lam)
-    vals: list[complex] = []
-    for j in range(size):
-        d = f.deriv(lam, j)
-        d_conj = f.deriv(lam.conjugate(), j)
-        if not tol.eq(d.conjugate(), d_conj):
-            raise ConjugateSymmetryError(
-                f"order-{j} derivative of {f.describe()} is not conjugate-"
-                f"symmetric at {lam}: conj(f^({j})(lam)) = {d.conjugate()} but "
-                f"f^({j})(conj lam) = {d_conj}"
-            )
-        vals.append(d / math.factorial(j))
     m = np.zeros((2 * size, 2 * size))
-    for j, val in enumerate(vals):
-        rb = rotation_block(val)
+    for j in range(size):
+        rb = rotation_block(row[j] / math.factorial(j))
         for i in range(size - j):
             m[2 * i : 2 * i + 2, 2 * (i + j) : 2 * (i + j) + 2] = rb
     return m
+
+
+def _assemble(
+    factors: RealJordanFactors, f: SpectralFunction, table: dict, tol: Tolerance
+) -> np.ndarray:
+    """R f(J) R^{-1} from f's table on the spectrum; see matrix_function."""
+    failed = [d for d in _conjugate_defects(table, tol) if d[2] > d[3]]
+    if failed:
+        # min keeps the first failure at a complex pair, if there is one
+        lam, j, defect, limit = min(failed, key=lambda d: not d[0].imag)
+        message = (
+            f"{_what(f, j)} is not conjugate-symmetric at {lam}: |f^({j})(conj "
+            f"lam) - conj f^({j})(lam)| = {defect:.3e} (limit {limit:.3e})"
+        )
+        if lam.imag:
+            raise ConjugateSymmetryError(message)
+        raise NonRealResultError(
+            f"{message}; {f.describe()} is not real-valued on this spectrum"
+        )
+    spec = factors.spec
+    blocks = [func_jordan_block(table[complex(x)], n).real for x, n in spec.real_blocks]
+    blocks += [func_real_jordan_block(table[z], n) for z, n in spec.complex_blocks]
+    out = factors.transform @ block_diag(blocks) @ factors.transform_inverse
+    if not math.isfinite(norm_inf(out)):
+        raise DomainError(f"f(A) overflows float64 for f = {f.describe()}")
+    return out
 
 
 def matrix_function(
@@ -421,37 +447,16 @@ def matrix_function(
 ) -> np.ndarray:
     """Evaluate f on a matrix given in real Jordan factored form.
 
-    Assembles f per block and conjugates back by the stored transform, in
-    float64: R is real, so the imaginary part of R f(J) R^{-1} is
-    R Im(f(J)) R^{-1}, formed only when some block value is not real. The
-    result of a legitimate evaluation is a real matrix; imaginary dust up
-    to tol.rel_eps * ||result||_inf is truncated, anything larger raises
-    NonRealResultError (the function is not real on this spectrum).
-    A result with a non-finite entry or infinity norm raises DomainError.
+    Builds f's table on the spectrum, raising NotDefinedOnSpectrumError when
+    f lacks a value or derivative the structure needs, and tests it: at
+    order j, |f^(j)(conj lam) - conj f^(j)(lam)| may be at most tol.rel_eps
+    times the largest |f^(j)| on the spectrum. A failing complex pair raises
+    ConjugateSymmetryError, before a failing real eigenvalue raises
+    NonRealResultError. Imaginary parts that pass are dropped, so
+    R f(J) R^{-1} is one float64 product. A result with a non-finite entry
+    or infinity norm raises DomainError.
     """
-    check = defined_on_spectrum(f, factors.spec)
-    if not check:
-        raise NotDefinedOnSpectrumError(check.reason)
-    blocks: list[np.ndarray] = []
-    for lam, n in factors.spec.real_blocks:
-        blocks.append(func_jordan_block(f, lam, n))
-    for lam, n in factors.spec.complex_blocks:
-        blocks.append(func_real_jordan_block(f, lam, n, tol))
-    core = block_diag(blocks)
-    r, r_inv = factors.transform, factors.transform_inverse
-    out = r @ core.real @ r_inv
-    size = norm_inf(out)
-    if not math.isfinite(size):
-        raise DomainError(f"f(A) overflows float64 for f = {f.describe()}")
-    dust = float(np.max(np.abs(r @ core.imag @ r_inv))) if np.any(core.imag) else 0.0
-    limit = tol.rel_eps * size
-    if dust > limit:
-        raise NonRealResultError(
-            f"matrix function result has imaginary magnitude {dust:.3e} "
-            f"(limit {limit:.3e}); {f.describe()} is not real-valued on this "
-            "spectrum"
-        )
-    return out
+    return _assemble(factors, f, _spectral_table(f, factors.spec), tol)
 
 
 def taylor_oracle(a, f: SpectralFunction, terms: int) -> np.ndarray:

@@ -9,9 +9,10 @@ matrix and its transpose both have that property.
 The scalar-side counterpart: a function f preserves the property iff, on
 the relevant spectrum, f is conjugate-symmetric, maps rho to a positive
 real, and satisfies |f(lambda)| < f(rho) strictly inside the spectral
-circle. frobenius_check measures those three conditions pointwise,
-relative to the size of f on the spectrum, and verify_preservation_theorem
-compares the scalar verdict against the matrix-level outcome.
+circle; on a size-m Jordan block the first covers f^(j) for j < m.
+frobenius_check measures them on funcalc's table of f^(j) on the
+spectrum, relative to the size of f there, and verify_preservation_theorem
+forms f(A) from the same table and compares the two verdicts.
 
 A matrix given by its entries is decomposed once. A matrix given by its
 real Jordan factors A = R J R^{-1} is not decomposed at all: its spectrum
@@ -21,7 +22,7 @@ is the spec's, exactly, and its eigenvectors are columns of R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +40,11 @@ from .funcalc import (
     ConjugateSymmetryError,
     NonRealResultError,
     SpectralFunction,
-    matrix_function,
+    _assemble,
+    _conjugate_defects,
+    _spectral_table,
 )
-from .jordan import RealJordanFactors
+from .jordan import JordanSpec, RealJordanFactors
 
 __all__ = [
     "PerronReport",
@@ -80,7 +83,7 @@ class PerronReport:
     eigvec_positive: bool
     simple: bool
     strictly_dominant: bool
-    dominance_margin: float
+    dominance_margin: float | None
     overall: bool
 
     def condition_verdicts(self) -> dict[str, bool]:
@@ -110,7 +113,9 @@ class PerronReport:
         for key, ok in self.condition_verdicts().items():
             mark = "pass" if ok else "FAIL"
             extra = ""
-            if key == "strictly_dominant":
+            if key == "strictly_dominant" and self.dominance_margin is None:
+                extra = " (no eigenvalue outside rho's cluster)"
+            elif key == "strictly_dominant":
                 extra = f" (margin {self.dominance_margin:.6g})"
             lines.append(f"  [{mark}] {CONDITION_LABELS[key]}{extra}")
         lines.append(
@@ -152,11 +157,9 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
     in_cluster = dist <= cluster_radius
     simple = rho_in_spectrum and int(np.sum(in_cluster)) == 1
     others = w[~in_cluster]
-    if others.size:
-        margin = float(rho - np.max(np.abs(others)))
-    else:
-        margin = float("inf") if rho_in_spectrum else 0.0
-    strictly_dominant = rho_in_spectrum and margin > negligible
+    # None when every eigenvalue lies in rho's cluster: no margin to measure
+    margin = float(rho - np.max(np.abs(others))) if others.size else None
+    strictly_dominant = rho_in_spectrum and (margin is None or margin > negligible)
 
     overall = (
         rho_positive
@@ -334,20 +337,22 @@ def power_threshold(a, k_max: int) -> int | None:
 
 @dataclass(frozen=True)
 class FrobeniusVerdict:
-    """Pointwise verdicts for the three scalar preservation conditions.
+    """Verdicts for the three scalar preservation conditions on f's table.
 
-    Witnesses record the worst observed point: largest conjugate-symmetry
-    defect, smallest domination gap. A point where f is undefined counts as
-    a failure of the condition that needed it (witness diff infinite).
+    Witnesses record the worst observed entry: the largest conjugate-symmetry
+    defect, a failing one first, with its point and order; the smallest
+    domination gap. ``table`` holds f^(j)(lam) on the spectrum for
+    verify_preservation_theorem to form f(A); to_dict leaves it out.
     """
 
     conjugate_symmetry: bool
-    conjugate_witness: tuple[complex, float] | None
+    conjugate_witness: tuple[complex, int, float]
     modulus_domination: bool
     modulus_marginal: bool
     modulus_witness: tuple[complex, float, float] | None
     positivity_at_rho: bool
     overall: bool
+    table: dict[complex, list] = field(repr=False, compare=False)
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -355,9 +360,9 @@ class FrobeniusVerdict:
         mw = self.modulus_witness
         return {
             "conjugate_symmetry": self.conjugate_symmetry,
-            "conjugate_witness": None
-            if cw is None
-            else {"re": cw[0].real, "im": cw[0].imag, "defect": cw[1]},
+            "conjugate_witness": {
+                "re": cw[0].real, "im": cw[0].imag, "order": cw[1], "defect": cw[2]
+            },
             "modulus_domination": self.modulus_domination,
             "modulus_marginal": self.modulus_marginal,
             "modulus_witness": None
@@ -377,9 +382,8 @@ class FrobeniusVerdict:
         lines = []
         mark = lambda ok: "pass" if ok else "FAIL"  # noqa: E731
         lines.append(f"  [{mark(self.conjugate_symmetry)}] conjugate symmetry")
-        if self.conjugate_witness is not None:
-            z, d = self.conjugate_witness
-            lines.append(f"         worst point {_fmt_complex(z)}, defect {d:.3e}")
+        z, j, d = self.conjugate_witness
+        lines.append(f"         worst point {_fmt_complex(z)}, order {j}, defect {d:.3e}")
         dom = f"  [{mark(self.modulus_domination)}] strict modulus domination"
         if self.modulus_marginal:
             dom += " (marginal: gap within tolerance of zero)"
@@ -401,40 +405,29 @@ class FrobeniusVerdict:
 
 
 def frobenius_check(
-    f: SpectralFunction, spectrum, rho: float, tol: Tolerance = DEFAULT_TOL
+    f: SpectralFunction, spec: JordanSpec, rho: float, tol: Tolerance = DEFAULT_TOL
 ) -> FrobeniusVerdict:
-    """Test the scalar preservation conditions on the given spectrum.
+    """Test the scalar preservation conditions on f's table on spec.
 
-    Checks, for each spectrum point lam: conj(f(lam)) == f(conj lam); and
-    for points strictly inside the circle of radius rho: |f(lam)| < f(rho).
-    Also that f(rho) itself is a positive real. The positivity of f(rho),
-    the domination gap and the conjugate-symmetry defect are measured
-    against ``tol.rel_eps * max(|f(rho)|, max |f(lam)|)`` over the spectrum
-    points in f's domain, and "strictly inside" means
-    ``|lam| < rho * (1 - tol.rel_eps)``, so no threshold depends on the
-    absolute size of f or of rho. A spectrum point outside f's domain fails
-    conjugate symmetry.
-
-    f is evaluated once per distinct point among rho, the spectrum points
-    and their conjugates. A repeated eigenvalue is examined, and noted,
-    once, at its first occurrence, which keeps the witnesses of the full
-    multiset.
+    The table holds f^(j)(lam) for each distinct eigenvalue lam, conjugate
+    partners included, and each j below lam's index; f without a value or
+    derivative the structure needs raises NotDefinedOnSpectrumError. Checks:
+    conj f^(j)(lam) == f^(j)(conj lam), by the test matrix_function applies;
+    |f(lam)| < f(rho) for lam strictly inside the circle of radius rho, that
+    is |lam| < rho * (1 - tol.rel_eps); and f(rho) a positive real, read
+    from the table when rho is an eigenvalue. The last two are measured
+    against ``tol.rel_eps * max(|f(rho)|, max |f(lam)|)``, so no threshold
+    depends on the absolute size of f or of rho.
     """
+    table = _spectral_table(f, spec)
     rho = float(rho)
     notes: list[str] = []
-    points = list(dict.fromkeys(complex(z) for z in spectrum))
-    values: dict[complex, complex | None] = {}
-
-    def value(z: complex) -> complex | None:
-        """f(z), evaluated once per distinct z; None where f is undefined."""
-        if z not in values:
-            values[z] = f.eval(z) if f.defined_at(z) else None
-        return values[z]
-
-    f_rho = value(complex(rho))
-    at_points = [f_rho, *map(value, points)]
-    f_scale = max((abs(v) for v in at_points if v is not None), default=0.0)
-    negligible = tol.rel_eps * f_scale
+    z_rho = complex(rho)
+    f_rho = table[z_rho][0] if z_rho in table else None
+    if f_rho is None and f.defined_at(z_rho):  # rho is not an eigenvalue
+        f_rho = f.eval(z_rho)
+    at_points = [f_rho, *(row[0] for row in table.values())]
+    negligible = tol.rel_eps * max(abs(v) for v in at_points if v is not None)
     inside = rho * (1.0 - tol.rel_eps)
 
     f_rho_real = None
@@ -449,27 +442,17 @@ def frobenius_check(
                 f"f(rho) = {_fmt_complex(f_rho)} is not a positive real"
             )
 
-    conj_ok = True
-    conj_worst: tuple[complex, float] | None = None
+    defects = list(_conjugate_defects(table, tol))
+    conj_ok = not any(defect > limit for _, _, defect, limit in defects)
+    lam, j, defect, _ = max(defects, key=lambda d: (d[2] > d[3], d[2]))
     dom_ok = True
     marginal = False
     dom_worst: tuple[complex, float, float] | None = None
-    for z in points:
-        val, val_conj = value(z), value(z.conjugate())
-        if val is None or val_conj is None:
-            conj_ok = False
-            conj_worst = (z, float("inf"))
-            notes.append(f"{_fmt_complex(z)} is outside the domain of {f.describe()}")
-            continue
-        defect = abs(val.conjugate() - val_conj)
-        if conj_worst is None or defect > conj_worst[1]:
-            conj_worst = (z, defect)
-        if defect > negligible:
-            conj_ok = False
+    for z, row in table.items():
         if f_rho_real is not None and abs(z) < inside:
-            gap = f_rho_real - abs(val)
+            gap = f_rho_real - abs(row[0])
             if dom_worst is None or gap < f_rho_real - dom_worst[1]:
-                dom_worst = (z, abs(val), f_rho_real)
+                dom_worst = (z, abs(row[0]), f_rho_real)
             if gap <= negligible:
                 dom_ok = False
                 if abs(gap) <= negligible:
@@ -478,12 +461,13 @@ def frobenius_check(
     overall = conj_ok and dom_ok and positivity
     return FrobeniusVerdict(
         conjugate_symmetry=conj_ok,
-        conjugate_witness=conj_worst,
+        conjugate_witness=(lam, j, defect),
         modulus_domination=dom_ok,
         modulus_marginal=marginal,
         modulus_witness=dom_worst,
         positivity_at_rho=positivity,
         overall=overall,
+        table=table,
         notes=tuple(notes),
     )
 
@@ -541,14 +525,14 @@ def verify_preservation_theorem(
 
     A must carry the strong Perron-Frobenius property to begin with (the
     equivalence says nothing otherwise); violating that raises
-    PreconditionError. A conjugate-symmetry or non-real-result failure while
-    forming f(A) is the "f(A) is not a real strong Perron-Frobenius matrix"
+    PreconditionError. f(A) is formed, as in matrix_function, from the table
+    frobenius_check built. A conjugate-symmetry or non-real-result failure
+    there is the "f(A) is not a real strong Perron-Frobenius matrix"
     outcome, not an error. Other failures (f undefined on the spectrum)
     propagate, since they void the comparison's hypothesis.
     """
-    spectrum = factors.spec.eigenvalue_multiset()
     a_report = _perron_report(
-        np.array(spectrum),
+        np.array(factors.spec.eigenvalue_multiset()),
         lambda idx: factors.transform[:, idx],
         _finite_norm(factors.reconstruct()),
         tol,
@@ -558,14 +542,14 @@ def verify_preservation_theorem(
             "the factored matrix lacks the strong Perron-Frobenius property "
             f"(failed: {', '.join(a_report.failed_conditions())})"
         )
-    verdict = frobenius_check(f, spectrum, a_report.rho, tol)
+    verdict = frobenius_check(f, factors.spec, a_report.rho, tol)
 
     f_of_a = None
     fa_error = None
     fa_report = None
     fa_pf = False
     try:
-        f_of_a = matrix_function(factors, f, tol)
+        f_of_a = _assemble(factors, f, verdict.table, tol)
     except (ConjugateSymmetryError, NonRealResultError) as exc:
         fa_error = str(exc)
     else:

@@ -1,10 +1,14 @@
-"""Shared test utilities: spectrum comparison, function catalogues, call counts."""
+"""Shared test utilities: spectrum comparison, function catalogues, call
+counts, strict JSON."""
+
+import json
 
 import numpy as np
 
 from matfrob import (
     Abs,
     Exp,
+    JordanSpec,
     Monomial,
     Polynomial,
     PrincipalRoot,
@@ -59,6 +63,25 @@ def random_domain_points(rng, f, count, radius=2.0):
             continue
         pts.append(z)
     return pts
+
+
+def spec_at(points, size):
+    """A spec with one block of the given size at each point: a real block
+    at a real point, a pair block at any other (keyed by its upper half)."""
+    points = [complex(z) for z in points]
+    return JordanSpec(
+        tuple((z.real, size) for z in points if not z.imag),
+        tuple((z if z.imag > 0 else z.conjugate(), size) for z in points if z.imag),
+    )
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def split_double_eigenvalue_matrix(seed=70, lam=1.0):

@@ -20,6 +20,7 @@ from matfrob import (
     PrincipalRoot,
     Tolerance,
     eventually_positive_check,
+    frobenius_check,
     matrix_function,
     power_threshold,
     strong_pf_check,
@@ -28,12 +29,12 @@ from matfrob import (
     verify_preservation_theorem,
 )
 from matfrob.core import norm_inf
-from matfrob.funcalc import func_jordan_block, func_real_jordan_block, reflection_check
+from matfrob.funcalc import func_jordan_block, func_real_jordan_block
 from matfrob.jordan import jordan_block
 from matfrob.sampling import random_pf_factors
 
-from helpers import NEGATE, differentiable_catalogue, random_domain_points
-from test_funcalc import SkewedDerivatives, pair_transport
+from helpers import NEGATE, differentiable_catalogue, random_domain_points, spec_at
+from test_funcalc import SkewedDerivatives, TiltedSlope, pair_transport, row
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 
@@ -77,7 +78,7 @@ def test_criterion_2_block_formula_vs_polynomial_arithmetic():
                 expected = np.zeros((n, n), dtype=complex)
                 for c in coeffs[::-1]:
                     expected = expected @ j + c * np.eye(n)
-                got = func_jordan_block(Polynomial(coeffs), lam, n)
+                got = func_jordan_block(row(Polynomial(coeffs), lam, n), n)
                 scale = max(1.0, float(np.max(np.abs(expected))))
                 worst = max(worst, float(np.max(np.abs(got - expected))) / scale)
                 cases += 1
@@ -101,7 +102,7 @@ def test_criterion_3_real_pair_block_vs_transport():
     for lam in (1j, 1 + 1j, 3 + 4j):
         for k in (1, 2, 3):
             for f in functions:
-                got = func_real_jordan_block(f, lam, k)
+                got = func_real_jordan_block(row(f, lam, k), k)
                 all_real = all_real and got.dtype == np.float64
                 expected = pair_transport(f, lam, k)
                 worst = max(worst, float(np.max(np.abs(got - expected.real))))
@@ -202,17 +203,19 @@ def test_criterion_6_taylor_oracle_equivalence():
 
 
 def test_criterion_7_reality_and_reflection():
+    # the conjugate-symmetry test on f's table, on blocks of size 6 at real
+    # samples (orders 0-5) and of size 4 at complex points (orders 0-3)
     rng = np.random.default_rng(707)
     tol = Tolerance(rel_eps=0.0)
     reality_ok = True
     reflection_ok = True
     for f in differentiable_catalogue():
         samples = rng.uniform(0.1, 4.0, size=20)
-        reality_ok = reality_ok and bool(reflection_check(f, samples, max_order=5))
+        verdict = frobenius_check(f, spec_at(samples, 6), max(samples))
+        reality_ok = reality_ok and verdict.conjugate_symmetry
         pts = random_domain_points(rng, f, 100)
-        reflection_ok = reflection_ok and bool(
-            reflection_check(f, pts, max_order=3, tol=tol)
-        )
+        verdict = frobenius_check(f, spec_at(pts, 4), max(map(abs, pts)), tol)
+        reflection_ok = reflection_ok and verdict.conjugate_symmetry
     ok = reality_ok and reflection_ok
     _line(
         "criterion 7 (reality and reflection)",
@@ -222,22 +225,20 @@ def test_criterion_7_reality_and_reflection():
 
 
 def test_criterion_8_conjugate_asymmetry_is_rejected():
-    f = SkewedDerivatives()
-    block_raises = False
-    try:
-        func_real_jordan_block(f, 1 + 1j, 2)
-    except ConjugateSymmetryError:
-        block_raises = True
-    spec = JordanSpec(real_blocks=((2.0, 1),), complex_blocks=((1 + 1j, 1),))
-    _, factors = synthesize_matrix(spec, np.eye(3))
-    full_raises = False
-    try:
-        matrix_function(factors, f)
-    except ConjugateSymmetryError:
-        full_raises = True
-    ok = block_raises and full_raises
+    # i*z fails at order 0; z with f' = 1 + i only at order 1, which a
+    # size-2 pair block needs
+    spec = JordanSpec(real_blocks=((2.0, 1),), complex_blocks=((1 + 1j, 2),))
+    _, factors = synthesize_matrix(spec, np.eye(5))
+    scalar_flags = matrix_raises = 0
+    for f in (SkewedDerivatives(), TiltedSlope()):
+        scalar_flags += not frobenius_check(f, spec, 2.0).conjugate_symmetry
+        try:
+            matrix_function(factors, f)
+        except ConjugateSymmetryError:
+            matrix_raises += 1
+    ok = scalar_flags == matrix_raises == 2
     _line(
         "criterion 8 (asymmetry rejected)",
         ok,
-        f"block_level={block_raises} matrix_level={full_raises}",
+        f"scalar_side={scalar_flags}/2 matrix_level={matrix_raises}/2",
     )

@@ -7,7 +7,7 @@ import pytest
 from matfrob.cli import main
 from matfrob.documents import dump_document, load_document, parse_matrix_document
 
-from helpers import count_svd_calls, split_double_eigenvalue_matrix
+from helpers import count_svd_calls, split_double_eigenvalue_matrix, strict_json
 
 
 def write_matrix(tmp_path, rows, name="m"):
@@ -56,7 +56,7 @@ class TestCheckPF:
         ])
         capsys.readouterr()
         assert code == 0
-        payload = json.loads(report.read_text())
+        payload = strict_json(report.read_text())
         assert payload["report"]["overall"] is True
         assert payload["report"]["conditions"]["simple"] is True
 
@@ -249,6 +249,34 @@ class TestOverflowingFunction:
         assert "f(A) overflows float64 for f = exp" in captured.err
 
 
+class TestStrictJson:
+    """Reports are JSON: no eigenvalue outside rho's cluster is null, not inf."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, margins",
+        [
+            (["check-pf"], {"rows": [[5.0]]}, 1),
+            (["check-evpos"], {"rows": [[5.0]]}, 2),
+            (["verify", "--fn", "exp"], {"real_blocks": [{"lambda": 2.0}]}, 2),
+        ],
+    )
+    def test_one_by_one_report(self, tmp_path, capsys, argv, doc, margins):
+        out = tmp_path / "out.json"
+        path = write_spec(tmp_path, doc)
+        assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 0
+        text = out.read_text()
+        strict_json(text)
+        assert text.count('"dominance_margin": null') == margins
+        assert "margin inf" not in capsys.readouterr().out
+
+    def test_cluster_named_beside_failed_simplicity(self, tmp_path, capsys):
+        assert main(["check-pf", write_matrix(tmp_path, [[2, 1], [0, 2]])]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] rho is a simple eigenvalue" in out
+        assert "(no eigenvalue outside rho's cluster)" in out
+        assert "margin inf" not in out
+
+
 class TestApply:
     def test_power_document_on_stdout(self, tmp_path, capsys):
         code = main([
@@ -256,7 +284,7 @@ class TestApply:
         ])
         captured = capsys.readouterr()
         assert code == 0
-        doc = json.loads(captured.out)
+        doc = strict_json(captured.out)
         assert doc["name"] == "pow:4(golden)"
         np.testing.assert_allclose(doc["rows"], [[38, 9], [18, 11]], atol=1e-9)
 
@@ -266,7 +294,7 @@ class TestApply:
         ])
         captured = capsys.readouterr()
         assert code == 0
-        json.loads(captured.out)
+        strict_json(captured.out)
         line = [l for l in captured.err.splitlines() if "oracle deviation" in l]
         assert len(line) == 1
         assert float(line[0].split(":")[1]) < 1e-6
@@ -381,7 +409,7 @@ class TestApply:
         code = main(["apply", write_matrix(tmp_path, a.tolist()), "--fn", "exp"])
         captured = capsys.readouterr()
         assert code == 0, captured.err
-        json.loads(captured.out)
+        strict_json(captured.out)
 
     @pytest.mark.parametrize(
         "fn, reason",
@@ -438,8 +466,8 @@ class TestApply:
         assert main(["apply", path, "--fn", "pow:1", "--seed", "6"]) == 0
         third = capsys.readouterr().out
         assert third != first
-        a = np.array(json.loads(first)["rows"])
-        b = np.array(json.loads(third)["rows"])
+        a = np.array(strict_json(first)["rows"])
+        b = np.array(strict_json(third)["rows"])
         # similar matrices: same trace, different entries
         assert abs(np.trace(a) - np.trace(b)) < 1e-9
         assert abs(np.trace(a) - 3.0) < 1e-9
@@ -454,7 +482,7 @@ class TestSmallScale:
         rows = [[0.0, -1e-20], [1e-20, 0.0]]
         code = main(["apply", write_matrix(tmp_path, rows), "--fn", "pow:1"])
         assert code == 0
-        got = np.array(json.loads(capsys.readouterr().out)["rows"])
+        got = np.array(strict_json(capsys.readouterr().out)["rows"])
         assert np.max(np.abs(got - rows)) <= 1e-12 * 1e-20
 
     def test_tiny_gaussian_matrix_reconstructs(self, tmp_path, capsys):
@@ -463,7 +491,7 @@ class TestSmallScale:
         a = 1e-13 * np.random.default_rng(0).standard_normal((6, 6))
         code = main(["apply", write_matrix(tmp_path, a.tolist()), "--fn", "pow:1"])
         assert code == 0
-        got = np.array(json.loads(capsys.readouterr().out)["rows"])
+        got = np.array(strict_json(capsys.readouterr().out)["rows"])
         err = np.linalg.norm(got - a, np.inf)
         assert err <= 1e-12 * np.linalg.norm(a, np.inf)
 
@@ -602,7 +630,7 @@ class TestVerify:
         ])
         capsys.readouterr()
         assert code == 0
-        payload = json.loads(report.read_text())
+        payload = strict_json(report.read_text())
         assert payload["result"]["theorem_consistent"] is True
 
 
@@ -632,7 +660,7 @@ class TestSynthesize:
         code = main(["synthesize", write_spec(tmp_path, spec)])
         captured = capsys.readouterr()
         assert code == 0
-        doc = json.loads(captured.out)
+        doc = strict_json(captured.out)
         assert np.array(doc["rows"]).shape == (3, 3)
         assert "condition estimate" in captured.err
 
@@ -835,7 +863,7 @@ class TestEmission:
         assert main(["synthesize", spec, "--out", str(built)]) == 0
         capsys.readouterr()
         assert main(["apply", str(built), "--fn", "exp"]) == 0
-        stdout_doc = json.loads(capsys.readouterr().out)
+        stdout_doc = strict_json(capsys.readouterr().out)
         assert np.shape(stdout_doc["rows"]) == (50, 50)
         runs = {
             "fa.json": ["apply", str(built), "--fn", "exp"],
@@ -849,6 +877,6 @@ class TestEmission:
         for out in ["built.json", *runs]:
             text = (tmp_path / out).read_text()
             assert text.endswith("}\n") and text.count("\n") == 1, out
-            json.loads(text)
+            strict_json(text)
         fa = load_document(tmp_path / "fa.json")
         assert fa["rows"] == stdout_doc["rows"]

@@ -27,7 +27,7 @@ from matfrob.documents import (
 )
 from matfrob.cli import main
 
-from helpers import NEGATE, full_catalogue
+from helpers import NEGATE, full_catalogue, strict_json
 
 
 class TestMatrixDocuments:
@@ -46,12 +46,12 @@ class TestMatrixDocuments:
         assert name == "probe"
         assert back.tobytes() == a.tobytes()  # -0.0 keeps its sign bit
 
-        # a 1 x 1 matrix has no eigenvalue besides rho: an infinite margin
+        # a 1 x 1 matrix has no eigenvalue besides rho: no margin (null)
         report = tmp_path / "report.json"
         dump_document({"rows": [[0.1 + 0.2]]}, path)
         assert main(["check-pf", str(path), "--out", str(report)]) == 0
-        payload = json.loads(report.read_text())["report"]
-        assert payload["dominance_margin"] == math.inf
+        payload = strict_json(report.read_text())["report"]
+        assert payload["dominance_margin"] is None
         assert payload["rho"] == 0.1 + 0.2
 
     def test_defaults_and_detection(self):

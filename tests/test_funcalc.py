@@ -21,12 +21,13 @@ from matfrob import (
     SpectralFunction,
     defined_on_spectrum,
     extract_diagonalizable_structure,
+    frobenius_check,
     matrix_function,
     synthesize_matrix,
     taylor_oracle,
 )
 from matfrob.core import eigen_decompose
-from matfrob.funcalc import func_jordan_block, func_real_jordan_block, reflection_check
+from matfrob.funcalc import func_jordan_block, func_real_jordan_block
 from matfrob.jordan import block_diag, jordan_block
 from matfrob.sampling import random_orthogonal, random_pf_factors
 
@@ -34,6 +35,7 @@ from helpers import (
     assert_multiset_close,
     differentiable_catalogue,
     random_domain_points,
+    spec_at,
     split_double_eigenvalue_matrix,
 )
 
@@ -50,6 +52,23 @@ class SkewedDerivatives(SpectralFunction):
         if not order:
             return 1j * z
         return 1j if order == 1 else 0j
+
+
+class TiltedSlope(SpectralFunction):
+    """f(z) = z with f' = 1 + i: conjugate-symmetric values, asymmetric f'."""
+
+    def describe(self):
+        return "z with f' = 1+i"
+
+    def _derivative(self, z, order):
+        if not order:
+            return z
+        return 1 + 1j if order == 1 else 0j
+
+
+def row(f, lam, size):
+    """f^(k)(lam) for k < size: the table row the block builders read."""
+    return [f.deriv(lam, k) for k in range(size)]
 
 
 class TwoHooks(SpectralFunction):
@@ -266,18 +285,19 @@ class TestDefinedOnSpectrum:
 
 class TestFuncJordanBlock:
     def test_exp_at_zero_size3(self):
-        got = func_jordan_block(Exp(), 0.0, 3)
+        got = func_jordan_block(row(Exp(), 0.0, 3), 3)
         np.testing.assert_allclose(got.real, [[1, 1, 0.5], [0, 1, 1], [0, 0, 1]])
         assert np.all(got.imag == 0.0)
 
     def test_identity_function_reproduces_block(self):
         np.testing.assert_array_equal(
-            func_jordan_block(Monomial(1), 2.5, 3), jordan_block(2.5, 3)
+            func_jordan_block(row(Monomial(1), 2.5, 3), 3), jordan_block(2.5, 3)
         )
 
     def test_square_matches_matrix_product(self):
         j = jordan_block(1.5, 4)
-        np.testing.assert_allclose(func_jordan_block(Monomial(2), 1.5, 4), j @ j)
+        got = func_jordan_block(row(Monomial(2), 1.5, 4), 4)
+        np.testing.assert_allclose(got, j @ j)
 
     def test_polynomial_matches_horner_on_block(self):
         rng = np.random.default_rng(5)
@@ -288,7 +308,7 @@ class TestFuncJordanBlock:
                 expected = np.zeros((size, size), dtype=complex)
                 for c in coeffs[::-1]:
                     expected = expected @ j + c * np.eye(size)
-                got = func_jordan_block(Polynomial(tuple(coeffs)), lam, size)
+                got = func_jordan_block(row(Polynomial(tuple(coeffs)), lam, size), size)
                 scale = max(1.0, np.max(np.abs(expected)))
                 assert np.max(np.abs(got - expected)) < 1e-9 * scale
 
@@ -300,37 +320,44 @@ def pair_transport(f, lam, size):
     order = [t for i in range(size) for t in (i, size + i)]
     p = np.eye(2 * size)[order]
     w = np.kron(np.eye(size), s) @ p
-    bd = block_diag(
-        [func_jordan_block(f, lam, size), func_jordan_block(f, np.conj(lam), size)]
-    )
+    bd = block_diag([
+        func_jordan_block(row(f, lam, size), size),
+        func_jordan_block(row(f, np.conj(lam), size), size),
+    ])
     return w @ bd @ np.linalg.inv(w)
 
 
 class TestFuncRealJordanBlock:
     def test_exp_at_i(self):
-        got = func_real_jordan_block(Exp(), 1j, 1)
+        got = func_real_jordan_block(row(Exp(), 1j, 1), 1)
         expected = [[math.cos(1), math.sin(1)], [-math.sin(1), math.cos(1)]]
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
     def test_square_at_one_plus_i(self):
-        got = func_real_jordan_block(Monomial(2), 1 + 1j, 1)
+        got = func_real_jordan_block(row(Monomial(2), 1 + 1j, 1), 1)
         np.testing.assert_allclose(got, [[0, 2], [-2, 0]], atol=1e-15)
 
     def test_matches_complex_transport(self):
         for f in (Exp(), Monomial(3), PrincipalRoot(2)):
             for lam in (1 + 1j, 0.5 + 2j):
                 for size in (1, 2, 3):
-                    got = func_real_jordan_block(f, lam, size)
+                    got = func_real_jordan_block(row(f, lam, size), size)
                     expected = pair_transport(f, lam, size)
                     assert np.max(np.abs(expected.imag)) < 1e-10
                     np.testing.assert_allclose(got, expected.real, atol=1e-10)
 
     def test_output_dtype_real(self):
-        assert func_real_jordan_block(Exp(), 2j, 2).dtype == np.float64
+        assert func_real_jordan_block(row(Exp(), 2j, 2), 2).dtype == np.float64
 
     def test_conjugate_symmetry_enforced(self):
-        with pytest.raises(ConjugateSymmetryError):
-            func_real_jordan_block(SkewedDerivatives(), 1 + 1j, 1)
+        # the builder lays out f(lam)'s row; the table test in front of it
+        # covers every order the block reads, here f' on a size-2 pair
+        _, factors = synthesize_matrix(spec_at([1 + 1j], 2), np.eye(4))
+        with pytest.raises(ConjugateSymmetryError, match="^order-1 derivative of z"):
+            matrix_function(factors, TiltedSlope())
+        # a size-1 pair reads only f's values, which are symmetric
+        a, factors = synthesize_matrix(spec_at([1 + 1j], 1), np.eye(2))
+        np.testing.assert_array_equal(matrix_function(factors, TiltedSlope()), a)
 
 
 class TestMatrixFunction:
@@ -496,12 +523,13 @@ class TestRealAssembly:
         assert fa.flags.c_contiguous
         assert products == [(np.float64, np.float64)]
 
-    def test_non_real_block_value_adds_one_real_product(self, products):
+    def test_non_real_block_value_forms_no_product(self, products):
+        # the table test refuses it before any product is formed
         spec = JordanSpec(real_blocks=((2.0, 1), (-1.0, 1)))
         _, factors = synthesize_matrix(spec, np.eye(2))
         with pytest.raises(NonRealResultError):
             matrix_function(factors, PrincipalRoot(3))
-        assert products == [(np.float64, np.float64)] * 2
+        assert products == []
 
     @pytest.mark.parametrize(
         "f", [Exp(), Monomial(4), ScaledSum(((0.5, Exp()), (2.0, Monomial(2))))]
@@ -532,6 +560,21 @@ class TestOverflow:
         f = ScaledSum(((0.5, Exp()), (1.0, Monomial(2))))
         with pytest.raises(DomainError, match="exp overflows"):
             f.eval(1000.0)
+
+    def test_sum_checks_each_term_domain_once(self, monkeypatch):
+        # the sum's deriv has checked its terms; their hooks are called bare
+        calls = []
+        for cls in (ScaledSum, PrincipalRoot, SpectralFunction):
+            original = cls.defined_at
+
+            def counting(self, z, original=original):
+                calls.append(type(self).__name__)
+                return original(self, z)
+
+            monkeypatch.setattr(cls, "defined_at", counting)
+        f = ScaledSum(((1.0, PrincipalRoot(2)), (1.0, Exp())))
+        assert f.eval(4.0) == 2.0 + math.exp(4.0)
+        assert calls == ["ScaledSum", "PrincipalRoot", "Exp"]
 
     def test_matrix_function_of_overflowing_block(self):
         spec = JordanSpec(real_blocks=((800.0, 1), (1.0, 1)))
@@ -586,13 +629,17 @@ class TestTaylorOracle:
 
 
 class TestReflection:
+    """f^(j)(conj z) = conj f^(j)(z), tested on f's table of a spectrum."""
+
     def test_catalogue_exactly_symmetric(self):
+        # size-3 blocks reach orders 0, 1 and 2
         rng = np.random.default_rng(43)
         for f in differentiable_catalogue():
             pts = random_domain_points(rng, f, 25)
-            assert reflection_check(f, pts, max_order=2)
+            verdict = frobenius_check(f, spec_at(pts, 3), max(map(abs, pts)))
+            assert verdict.conjugate_symmetry, f.describe()
 
     def test_asymmetric_double_caught(self):
-        check = reflection_check(SkewedDerivatives(), [1 + 1j], max_order=0)
-        assert not check
-        assert check.witness == (1 + 1j, 0)
+        verdict = frobenius_check(SkewedDerivatives(), spec_at([1 + 1j], 1), 2.0)
+        assert not verdict.conjugate_symmetry
+        assert verdict.conjugate_witness == (1 + 1j, 0, abs(2 + 2j))

@@ -11,11 +11,13 @@ from matfrob import (
     Exp,
     JordanSpec,
     Monomial,
-    NonDifferentiableError,
+    NonRealResultError,
+    NotDefinedOnSpectrumError,
     Polynomial,
     PreconditionError,
     PrincipalRoot,
     RealJordanFactors,
+    SpectralFunction,
     defined_on_spectrum,
     eventually_positive_check,
     frobenius_check,
@@ -25,7 +27,6 @@ from matfrob import (
     synthesize_matrix,
     verify_preservation_theorem,
 )
-from matfrob.funcalc import reflection_check
 from matfrob.sampling import (
     positive_column_orthogonal,
     random_orthogonal,
@@ -38,8 +39,22 @@ from helpers import (
     count_scalar_calls,
     differentiable_catalogue,
     full_catalogue,
+    spec_at,
 )
-from test_funcalc import MatmulRecorder, SkewedDerivatives
+from test_funcalc import MatmulRecorder, SkewedDerivatives, TiltedSlope
+
+
+class ShiftedOffAxis(SpectralFunction):
+    """f(z) = z on the real axis and z + 1e-10 i off it."""
+
+    def describe(self):
+        return "z + 1e-10i off the axis"
+
+    def _derivative(self, z, order):
+        if not order:
+            return z + 1e-10j if z.imag else z
+        return 1.0 if order == 1 else 0j
+
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 RHO_B = (1.0 + math.sqrt(17.0)) / 2.0
@@ -365,7 +380,8 @@ class TestPowerThreshold:
 
 class TestFrobeniusCheck:
     def test_exp_on_golden_spectrum(self):
-        verdict = frobenius_check(Exp(), [RHO_B, (1 - math.sqrt(17.0)) / 2], RHO_B)
+        spec = spec_at([RHO_B, (1 - math.sqrt(17.0)) / 2], 1)
+        verdict = frobenius_check(Exp(), spec, RHO_B)
         assert verdict.overall
         assert verdict.conjugate_symmetry
         assert verdict.modulus_domination
@@ -373,17 +389,17 @@ class TestFrobeniusCheck:
         assert "HOLD" in verdict.format_text()
 
     def test_negation_fails_positivity(self):
-        verdict = frobenius_check(NEGATE, [2.0, -1.0], 2.0)
+        verdict = frobenius_check(NEGATE, spec_at([2.0, -1.0], 1), 2.0)
         assert not verdict.overall
         assert not verdict.positivity_at_rho
         assert verdict.conjugate_symmetry
         assert any("positive real" in n for n in verdict.notes)
 
     def test_odd_root_conjugate_defect(self):
-        verdict = frobenius_check(PrincipalRoot(3), [2.0, -1.0], 2.0)
+        verdict = frobenius_check(PrincipalRoot(3), spec_at([2.0, -1.0], 1), 2.0)
         assert not verdict.conjugate_symmetry
-        z, defect = verdict.conjugate_witness
-        assert z == -1.0 + 0j
+        z, order, defect = verdict.conjugate_witness
+        assert (z, order) == (-1.0 + 0j, 0)
         # conj of the principal cube root of -1 lands on the other branch
         assert abs(defect - math.sqrt(3.0)) < 1e-12
         assert verdict.positivity_at_rho
@@ -391,7 +407,7 @@ class TestFrobeniusCheck:
     def test_marginal_domination(self):
         # (z - 1)^2 takes the same value 4 at both spectrum points
         f = Polynomial((1.0, -2.0, 1.0))
-        verdict = frobenius_check(f, [3.0, -1.0], 3.0)
+        verdict = frobenius_check(f, spec_at([3.0, -1.0], 1), 3.0)
         assert not verdict.modulus_domination
         assert verdict.modulus_marginal
         z, abs_f, f_rho = verdict.modulus_witness
@@ -400,14 +416,12 @@ class TestFrobeniusCheck:
         assert "marginal" in verdict.format_text()
 
     def test_spectrum_outside_domain_is_a_failure(self):
-        verdict = frobenius_check(PrincipalRoot(2), [2.0, -1.0], 2.0)
-        assert not verdict.overall
-        assert not verdict.conjugate_symmetry
-        assert verdict.conjugate_witness == (-1.0 + 0j, float("inf"))
-        assert any("domain" in n for n in verdict.notes)
+        # as in matrix_function: f is not defined on the spectrum
+        with pytest.raises(NotDefinedOnSpectrumError, match="-1"):
+            frobenius_check(PrincipalRoot(2), spec_at([2.0, -1.0], 1), 2.0)
 
     def test_rho_outside_domain(self):
-        verdict = frobenius_check(PrincipalRoot(2), [1.0], 0.0)
+        verdict = frobenius_check(PrincipalRoot(2), spec_at([1.0], 1), 0.0)
         assert not verdict.positivity_at_rho
         assert any("domain" in n for n in verdict.notes)
 
@@ -415,19 +429,23 @@ class TestFrobeniusCheck:
         # rho is the first spectrum point, -1 is repeated, and both are their
         # own conjugates: two distinct points, so two evaluations
         calls = count_scalar_calls(monkeypatch)
-        verdict = frobenius_check(Exp(), [2.0, -1.0, -1.0], 2.0)
+        verdict = frobenius_check(Exp(), spec_at([2.0, -1.0, -1.0], 1), 2.0)
         assert verdict.overall
         assert calls == [(Exp(), 2.0 + 0j, 0), (Exp(), -1.0 + 0j, 0)]
 
     def test_undefined_point_noted_once(self):
-        verdict = frobenius_check(PrincipalRoot(2), [2.0, -1.0, -1.0], 2.0)
-        assert verdict.conjugate_witness == (-1.0 + 0j, float("inf"))
-        assert sum("domain" in n for n in verdict.notes) == 1
+        with pytest.raises(NotDefinedOnSpectrumError) as err:
+            frobenius_check(PrincipalRoot(2), spec_at([2, -1, -1], 1), 2.0)
+        assert str(err.value).count("outside the domain") == 1
 
     def test_serialization(self):
-        d = frobenius_check(Exp(), [2.0, 1.0], 2.0).to_dict()
+        verdict = frobenius_check(Exp(), spec_at([2.0, 1.0], 1), 2.0)
+        d = verdict.to_dict()
         assert d["overall"] is True
         assert d["modulus_witness"]["f_rho"] == pytest.approx(math.exp(2.0))
+        assert d["conjugate_witness"] == {"re": 2.0, "im": 0.0, "order": 0, "defect": 0.0}
+        # the table is for f(A), not for the report
+        assert "table" not in d and verdict.table[2.0] == [math.exp(2.0)]
 
 
 def golden_factors():
@@ -650,20 +668,61 @@ class TestDerivativeReality:
     """At a real point, conjugate symmetry of f^(j) says f^(j) is real."""
 
     def test_catalogue_real_on_positive_axis(self):
+        # size-6 blocks reach orders 0 to 5
         rng = np.random.default_rng(19)
         samples = rng.uniform(0.1, 4.0, size=20)
-        from helpers import differentiable_catalogue
-
         for f in differentiable_catalogue():
-            assert reflection_check(f, samples, max_order=5)
+            verdict = frobenius_check(f, spec_at(samples, 6), max(samples))
+            assert verdict.conjugate_symmetry, f.describe()
 
     def test_skewed_double_caught(self):
-        check = reflection_check(SkewedDerivatives(), [1.5], max_order=2)
-        assert not check
-        assert check.witness == (1.5 + 0j, 0)
-        assert "not conjugate-symmetric" in check.reason
+        # f = i*z is imaginary at 1.5, f' = i everywhere: both orders fail
+        spec = spec_at([1.5], 3)
+        verdict = frobenius_check(SkewedDerivatives(), spec, 1.5)
+        assert not verdict.conjugate_symmetry
+        assert verdict.conjugate_witness == (1.5 + 0j, 0, 3.0)
+        _, factors = synthesize_matrix(spec, np.eye(3))
+        with pytest.raises(NonRealResultError, match="not conjugate-symmetric"):
+            matrix_function(factors, SkewedDerivatives())
 
     def test_abs_value_level_only(self):
-        assert reflection_check(Abs(), [1.0, 2.0], max_order=0)
-        with pytest.raises(NonDifferentiableError):
-            reflection_check(Abs(), [1.0], max_order=1)
+        verdict = frobenius_check(Abs(), spec_at([1.0, 2.0], 1), 2.0)
+        assert verdict.conjugate_symmetry
+        with pytest.raises(NotDefinedOnSpectrumError, match="order-1 derivative"):
+            frobenius_check(Abs(), spec_at([1.0], 2), 1.0)
+
+
+class TestOneTableForBothSides:
+    """Both sides of verify read one table and one conjugate-symmetry test."""
+
+    def test_asymmetric_derivative_fails_both_sides(self):
+        # a size-2 pair block needs f' too, so the scalar side must fail
+        # f' = 1 + i as the matrix side does
+        spec = JordanSpec(((3.0, 1),), ((0.5 + 0.5j, 2),))
+        q = positive_column_orthogonal(np.random.default_rng(0), 5)
+        res = verify_preservation_theorem(synthesize_matrix(spec, q)[1], TiltedSlope())
+        assert res.theorem_consistent
+        assert not res.frobenius.conjugate_symmetry
+        assert res.frobenius.conjugate_witness[:2] == (0.5 + 0.5j, 1)
+        assert "order-1 derivative" in res.f_of_a_error
+
+    def test_value_dust_off_the_axis_holds_both_sides(self):
+        # a defect of 2e-10 is dust next to f(rho) = 100, though not next
+        # to |f| = 1.4e-2 at the pair: both sides measure it against 100
+        spec = JordanSpec(((100.0, 1),), ((0.01 + 0.01j, 1),))
+        q = positive_column_orthogonal(np.random.default_rng(0), 3)
+        res = verify_preservation_theorem(synthesize_matrix(spec, q)[1], ShiftedOffAxis())
+        assert res.theorem_consistent
+        assert res.f_is_frobenius and res.fa_strong_pf
+
+    def test_verify_builds_one_table(self, monkeypatch):
+        calls = count_scalar_calls(monkeypatch)
+        spec = JordanSpec(((2.0, 1), (-1.0, 2)), ((0.5 + 0.5j, 3),))
+        q = positive_column_orthogonal(np.random.default_rng(0), 9)
+        res = verify_preservation_theorem(synthesize_matrix(spec, q)[1], Exp())
+        assert res.theorem_consistent
+        lams = [2.0, -1.0, 0.5 + 0.5j, 0.5 - 0.5j]
+        orders = [1, 2, 3, 3]
+        assert calls == [
+            (Exp(), complex(lam), j) for lam, n in zip(lams, orders) for j in range(n)
+        ]

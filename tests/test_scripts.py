@@ -77,10 +77,10 @@ def test_power_threshold_demo_output(capsys):
     assert capsys.readouterr().out == DEMO_OUTPUT
 
 
-def test_suite_evaluates_each_scalar_value_at_most_twice(monkeypatch):
-    # once for the scalar side, once for the block that needs it
+def test_suite_evaluates_each_scalar_value_once(monkeypatch):
+    # both sides of a verify read one table of f^(j)(lambda)
     calls = count_scalar_calls(monkeypatch)
     suite = runpy.run_path(str(SCRIPTS / "run_preservation_suite.py"))
     assert suite["main"](["--trials", "50", "--seed", "1"]) == 0
     per_triple = Counter(calls)
-    assert per_triple and max(per_triple.values()) <= 2
+    assert per_triple and set(per_triple.values()) == {1}
