@@ -13,6 +13,7 @@ to stderr, so stdout always re-parses as a document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -180,6 +181,26 @@ def _evpos_evidence(report) -> str:
     return f"NO (failed: {', '.join(failed)})"
 
 
+def _evpos_cluster(report) -> str:
+    """rho, its cluster radius on each side, and the eigenvalue nearest rho
+    apart from rho itself (the nearest of all when rho is not one), for a
+    DEFECT line."""
+    m, t = report.matrix_report, report.transpose_report
+    text = (
+        f"rho = {m.rho:.15g}, cluster radius {m.cluster_radius:.6g} (matrix) "
+        f"and {t.cluster_radius:.6g} (transpose)"
+    )
+    dist = np.abs(np.array(m.spectrum) - m.rho)
+    others = np.argsort(dist, kind="stable")[int(m.rho_in_spectrum):]
+    if not others.size:
+        return f"{text}, no other eigenvalue"
+    z = m.spectrum[others[0]]
+    return (
+        f"{text}, nearest other eigenvalue {z.real:.12g}{z.imag:+.12g}j "
+        f"at distance {dist[others[0]]:.6g}"
+    )
+
+
 def cmd_check_evpos(args) -> int:
     tol = _tolerance(args)
     if args.kmax < 1:
@@ -197,8 +218,9 @@ def cmd_check_evpos(args) -> int:
     if (threshold is not None) != report.overall:
         print(
             f"DEFECT: eigenvalue-based verdict {_evpos_evidence(report)} and "
-            f"brute-force power threshold {brute} disagree; this indicates a "
-            "bug or a borderline spectrum"
+            f"brute-force power threshold {brute} disagree "
+            f"({_evpos_cluster(report)}); this indicates a bug or a "
+            "borderline spectrum"
         )
     _write_report(
         args,
@@ -308,40 +330,43 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strong Perron-Frobenius check on a matrix document")
     p.add_argument("input", help="path to a matrix document")
     _add_options(p, "tol", "out")
-    p.set_defaults(handler=cmd_check_pf)
 
     p = sub.add_parser("check-evpos",
                        help="eventual positivity check plus brute-force threshold")
     p.add_argument("input", help="path to a matrix document")
     _add_options(p, "tol", "out", "kmax")
-    p.set_defaults(handler=cmd_check_evpos)
 
     p = sub.add_parser("apply",
                        help="apply --fn to a matrix or factored-form document")
     p.add_argument("input", help="path to a matrix or factored-form document")
     _add_options(p, "tol", "seed", "out", "oracle", "fn")
-    p.set_defaults(handler=cmd_apply)
 
     p = sub.add_parser("verify",
                        help="compare scalar and matrix preservation verdicts")
     p.add_argument("input", help="path to a factored-form document")
     _add_options(p, "tol", "seed", "out", "fn")
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("synthesize",
                        help="build a matrix from a factored-form document")
     p.add_argument("input", help="path to a factored-form document")
     _add_options(p, "seed", "out")
-    p.set_defaults(handler=cmd_synthesize)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use and kept: parse_args
+    fills a new namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on every call, so that a wrapped cmd_* is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except MatFrobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -160,6 +160,15 @@ def mat_inverse(a) -> np.ndarray:
         raise SingularMatrixError(str(exc)) from exc
 
 
+def _decomposable(a) -> np.ndarray:
+    """`a` as a nonempty square float64 matrix, ready for LAPACK's eigensolver."""
+    m = as_real_matrix(a)
+    require_square(m)
+    if m.shape[0] == 0:
+        raise DimensionMismatchError("cannot decompose an empty matrix")
+    return m
+
+
 def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of a square matrix.
 
@@ -169,12 +178,23 @@ def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     slots, positive imaginary part first, with conjugate eigenvectors.
     Eigenvector columns have unit 2-norm.
     """
-    m = as_real_matrix(a)
-    require_square(m)
-    if m.shape[0] == 0:
-        raise DimensionMismatchError("cannot decompose an empty matrix")
+    m = _decomposable(a)
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise SolverConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     return np.asarray(w, dtype=complex), np.asarray(v, dtype=complex)
+
+
+def _eigenvalues(a) -> np.ndarray:
+    """The ``w`` of eigen_decompose alone; LAPACK skips the eigenvector pass.
+
+    The same real path, so complex pairs are exact conjugates; the values
+    may differ from eigen_decompose's in the last digits.
+    """
+    m = _decomposable(a)
+    try:
+        w = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise SolverConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    return np.asarray(w, dtype=complex)

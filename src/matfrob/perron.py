@@ -14,9 +14,12 @@ frobenius_check measures them on funcalc's table of f^(j) on the
 spectrum, relative to the size of f there, and verify_preservation_theorem
 forms f(A) from the same table and compares the two verdicts.
 
-A matrix given by its entries is decomposed once. A matrix given by its
-real Jordan factors A = R J R^{-1} is not decomposed at all: its spectrum
-is the spec's, exactly, and its eigenvectors are columns of R.
+A matrix given by its entries gets its eigenvalues alone from LAPACK, and
+rho's right and left eigenvectors each from one real bordered solve; it is
+fully decomposed only when rho is not simple or a solve fails its
+residual test. A matrix given by its real Jordan factors A = R J R^{-1} is
+not decomposed at all: its spectrum is the spec's, exactly, and its
+eigenvectors are columns of R.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import (
     DEFAULT_TOL,
     PreconditionError,
     Tolerance,
+    _eigenvalues,
     as_real_matrix,
     eigen_decompose,
     max_abs,
@@ -84,6 +88,7 @@ class PerronReport:
     simple: bool
     strictly_dominant: bool
     dominance_margin: float | None
+    cluster_radius: float
     overall: bool
 
     def condition_verdicts(self) -> dict[str, bool]:
@@ -105,6 +110,7 @@ class PerronReport:
             "conditions": self.condition_verdicts(),
             "eigvec": None if self.eigvec is None else [float(x) for x in self.eigvec],
             "dominance_margin": self.dominance_margin,
+            "cluster_radius": self.cluster_radius,
             "overall": self.overall,
         }
 
@@ -128,8 +134,9 @@ class PerronReport:
 def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
     """The five conditions on the spectrum w of a matrix with norm `scale`.
 
-    ``eigvec_at(idx)`` returns an eigenvector for w[idx], the eigenvalue
-    nearest rho; it is called only when that eigenvalue equals rho. rho, its
+    ``eigvec_at(idx, simple)`` returns an eigenvector for w[idx], the
+    eigenvalue nearest rho; it is called only when that eigenvalue equals
+    rho, and ``simple`` says whether it is alone in rho's cluster. rho, its
     distance to the spectrum and the dominance margin are measured against
     ``tol.rel_eps * scale``, and the eigenvector, scaled to largest entry 1,
     against ``tol.rel_eps``, so these verdicts are invariant under positive
@@ -143,19 +150,20 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
     idx = int(np.argmin(dist))
     rho_in_spectrum = bool(dist[idx] <= negligible)
 
+    cluster_radius = 1e-6 * scale
+    in_cluster = dist <= cluster_radius
+    simple = rho_in_spectrum and int(np.sum(in_cluster)) == 1
+
     eigvec = None
     eigvec_positive = False
     if rho_in_spectrum:
-        col = eigvec_at(idx)
+        col = eigvec_at(idx, simple)
         k = int(np.argmax(np.abs(col)))
         col = col / col[k]
         vec = col.real.copy()
         eigvec = vec
         eigvec_positive = bool(np.all(vec > tol.rel_eps))
 
-    cluster_radius = 1e-6 * scale
-    in_cluster = dist <= cluster_radius
-    simple = rho_in_spectrum and int(np.sum(in_cluster)) == 1
     others = w[~in_cluster]
     # None when every eigenvalue lies in rho's cluster: no margin to measure
     margin = float(rho - np.max(np.abs(others))) if others.size else None
@@ -180,6 +188,7 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
         simple=simple,
         strictly_dominant=strictly_dominant,
         dominance_margin=margin,
+        cluster_radius=cluster_radius,
         overall=overall,
     )
 
@@ -187,17 +196,24 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
 def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     """Measure the five strong Perron-Frobenius conditions on a real matrix.
 
-    The matrix is given by its entries and decomposed once. Simplicity and
-    dominance are decided against the eigenvalue cluster within
-    1e-6 * ||A||_inf of rho, so a numerically split multiple eigenvalue is
-    still recognized as one. For factored input, verify_preservation_theorem
-    builds the same report from the factors without decomposing.
+    The matrix is given by its entries. The conditions are decided on its
+    eigenvalues alone, and rho's eigenvector comes from one real solve
+    bordered with the vector of ones (see _perron_vector), so LAPACK
+    computes eigenvectors only when rho is not simple or that solve fails
+    its residual test. Simplicity and dominance are decided against the
+    eigenvalue cluster within 1e-6 * ||A||_inf of rho, so a numerically
+    split multiple eigenvalue is still recognized as one. For factored
+    input, verify_preservation_theorem builds the same report from the
+    factors without decomposing.
     """
     m = as_real_matrix(a)
     require_square(m)
     scale = _finite_norm(m)
-    w, v = eigen_decompose(m)
-    return _perron_report(w, lambda idx: v[:, idx], scale, tol)
+    w = _eigenvalues(m)
+    ones = np.ones(len(w))
+    return _perron_report(
+        w, lambda idx, simple: _perron_vector(m, w[idx], ones, simple), scale, tol
+    )
 
 
 def _finite_norm(m: np.ndarray) -> float:
@@ -211,27 +227,63 @@ def _finite_norm(m: np.ndarray) -> float:
     return scale
 
 
-def _left_perron_vector(m: np.ndarray, rho: float, x: np.ndarray) -> np.ndarray:
-    """Left eigenvector of m at rho, given the right eigenvector x.
+# about a thousand times the backward error of a decomposition's eigenvector
+_BORDERED_RESIDUAL_ULPS = 1024
 
-    Solves the real bordered system [[m^T - rho I, x], [x^T, 0]] [y; mu] =
-    [0; 1], which is nonsingular exactly when rho is simple; then mu = 0
-    and m^T y = rho y with x^T y = 1. When rho is not simple the report
-    fails on that count anyway, so an exactly singular system falls back
-    to x.
+
+def _bordered_vector(
+    m: np.ndarray, lam: float, border: np.ndarray
+) -> np.ndarray | None:
+    """Eigenvector x of m at its eigenvalue lam by one real solve, or None.
+
+    Solves [[m - lam I, border], [border^T, 0]] [x; mu] = [0; 1], which is
+    nonsingular when lam is simple and its left and right eigenvectors both
+    have a nonzero product with `border`; then m x = lam x. m and lam are
+    first scaled by the same power of two, which leaves x unchanged. x counts
+    only if the solve succeeds, x is finite, and ||m x - lam x||_inf is at
+    most _BORDERED_RESIDUAL_ULPS * n * eps * ||m||_inf * ||x||_inf, so that
+    x is about as accurate as a decomposition's column; a border nearly
+    orthogonal to the left eigenvector makes the system ill-conditioned and
+    fails this test.
     """
     n = m.shape[0]
+    exponent = -math.frexp(norm_inf(m))[1]
+    m, lam = np.ldexp(m, exponent), math.ldexp(lam, exponent)
     bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = m.T
-    bordered[range(n), range(n)] -= rho
-    bordered[:n, n] = x
-    bordered[n, :n] = x
+    bordered[:n, :n] = m
+    bordered[range(n), range(n)] -= lam
+    bordered[:n, n] = border
+    bordered[n, :n] = border
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     try:
-        return np.linalg.solve(bordered, rhs)[:n]
+        x = np.linalg.solve(bordered, rhs)[:n]
     except np.linalg.LinAlgError:
-        return x
+        return None
+    if not np.isfinite(x).all():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = norm_inf(m @ x - lam * x)
+    limit = _BORDERED_RESIDUAL_ULPS * n * np.finfo(float).eps
+    return x if residual <= limit * norm_inf(m) * norm_inf(x) else None
+
+
+def _perron_vector(
+    m: np.ndarray, lam: complex, border: np.ndarray | None, simple: bool
+) -> np.ndarray:
+    """Eigenvector of m at lam, its eigenvalue nearest rho.
+
+    A simple rho is real, and its vector is the bordered solve. When rho is
+    not simple, or that solve fails, or there is no border (only the
+    transpose side's wider radius places lam at rho, so the matrix side
+    found no x), m is fully decomposed and the vector is the column at the
+    eigenvalue nearest that decomposition's own spectral radius.
+    """
+    x = _bordered_vector(m, lam.real, border) if simple and border is not None else None
+    if x is None:
+        w, v = eigen_decompose(m)
+        x = v[:, int(np.argmin(np.abs(w - np.max(np.abs(w)))))]
+    return x
 
 
 @dataclass(frozen=True)
@@ -267,19 +319,23 @@ def eventually_positive_check(
     """Eventual positivity via the two-sided strong Perron-Frobenius test.
 
     A is eventually positive iff A and A^T are both strong
-    Perron-Frobenius. A^T has A's spectrum, so one eigendecomposition of A
-    serves both sides; the transpose side reads its vector from the left
-    Perron vector (see _left_perron_vector) and keeps its own cluster
-    radius, 1e-6 * ||A^T||_inf.
+    Perron-Frobenius. A^T has A's spectrum, so A's eigenvalues alone serve
+    both sides. The matrix side finds rho's right vector x as
+    strong_pf_check does; the transpose side finds the left vector from a
+    second solve, on A^T bordered with x, and keeps its own cluster radius,
+    1e-6 * ||A^T||_inf. Where a side's rho is not simple or its solve fails
+    (see _perron_vector), that side's matrix is fully decomposed.
     """
     m = as_real_matrix(a)
     require_square(m)
     scale, scale_t = _finite_norm(m), _finite_norm(m.T)
-    w, v = eigen_decompose(m)
-    r1 = _perron_report(w, lambda idx: v[:, idx], scale, tol)
+    w = _eigenvalues(m)
+    ones = np.ones(len(w))
+    r1 = _perron_report(
+        w, lambda idx, simple: _perron_vector(m, w[idx], ones, simple), scale, tol
+    )
     r2 = _perron_report(
-        w,
-        lambda idx: _left_perron_vector(m, float(w[idx].real), r1.eigvec),
+        w, lambda idx, simple: _perron_vector(m.T, w[idx], r1.eigvec, simple),
         scale_t,
         tol,
     )
@@ -533,7 +589,7 @@ def verify_preservation_theorem(
     """
     a_report = _perron_report(
         np.array(factors.spec.eigenvalue_multiset()),
-        lambda idx: factors.transform[:, idx],
+        lambda idx, simple: factors.transform[:, idx],
         _finite_norm(factors.reconstruct()),
         tol,
     )

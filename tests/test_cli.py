@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -130,6 +131,40 @@ class TestCheckEvpos:
         assert len(defect) == 1
         assert "eigenvalue-based verdict YES (dominance margin 1)" in defect[0]
         assert "brute-force power threshold none up to k_max = 3" in defect[0]
+
+    def test_defect_line_gives_cluster_radius_and_nearest_eigenvalue(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a brute force that never finds a threshold forces the DEFECT line;
+        # B = [[2, 1], [2, -1]] has ||B||_inf = 3 and ||B^T||_inf = 4, and
+        # its other eigenvalue (1 - sqrt 17) / 2 lies sqrt 17 from rho
+        import matfrob.cli
+
+        monkeypatch.setattr(matfrob.cli, "power_threshold", lambda a, k: None)
+        assert main(["check-evpos", write_matrix(tmp_path, GOLDEN)]) == 0
+        out = capsys.readouterr().out
+        defect = [line for line in out.splitlines() if line.startswith("DEFECT")]
+        assert len(defect) == 1
+        assert "rho = 2.56155281280883" in defect[0]
+        assert "cluster radius 3e-06 (matrix) and 4e-06 (transpose)" in defect[0]
+        found = re.search(
+            r"nearest other eigenvalue (\S+)j at distance (\S+)\)", defect[0]
+        )
+        assert found is not None, defect[0]
+        assert abs(complex(found[1] + "j") - (1 - 17**0.5) / 2) < 1e-10
+        assert abs(float(found[2]) - 17**0.5) < 1e-5
+
+    def test_defect_line_on_a_one_by_one_matrix(self, tmp_path, capsys, monkeypatch):
+        import matfrob.cli
+
+        monkeypatch.setattr(matfrob.cli, "power_threshold", lambda a, k: None)
+        assert main(["check-evpos", write_matrix(tmp_path, [[2.0]])]) == 0
+        defect = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("DEFECT")
+        ]
+        assert "cluster radius 2e-06 (matrix) and 2e-06 (transpose), " \
+            "no other eigenvalue" in defect[0]
 
     @pytest.mark.parametrize("kmax", ["0", "-3"])
     def test_kmax_below_one_rejected_by_name(self, tmp_path, capsys, kmax):
@@ -775,40 +810,86 @@ class TestParser:
         assert main([command, path, *options, str(tmp_path / "out.json")]) == 0
 
 
+class TestParserReuse:
+    """main parses every call with one parser; no option leaks into the next."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        import matfrob.cli
+
+        namespaces = []
+        for name in ("cmd_apply", "cmd_verify"):
+            original = getattr(matfrob.cli, name)
+
+            def recording(args, _original=original):
+                namespaces.append(vars(args).copy())
+                return _original(args)
+
+            monkeypatch.setattr(matfrob.cli, name, recording)
+        return namespaces
+
+    def test_oracle_flag_does_not_carry_over(self, tmp_path, capsys, seen):
+        path = write_matrix(tmp_path, GOLDEN)
+        assert main(["apply", path, "--fn", "exp", "--oracle"]) == 0
+        assert "relative oracle deviation" in capsys.readouterr().err
+        assert main(["apply", path, "--fn", "exp"]) == 0
+        assert "relative oracle deviation" not in capsys.readouterr().err
+        assert [ns["oracle"] for ns in seen] == [True, False]
+
+    def test_out_path_does_not_carry_over(self, tmp_path, capsys, seen):
+        path = write_spec(tmp_path, PF_SPEC)
+        report = tmp_path / "p.json"
+        assert main(["verify", path, "--fn", "exp", "--out", str(report)]) == 0
+        report.unlink()
+        assert main(["verify", path, "--fn", "exp", "--tol", "1e-8"]) == 0
+        assert not report.exists()
+        assert [ns["out"] for ns in seen] == [str(report), None]
+        assert [ns["tol"] for ns in seen] == [1e-9, 1e-8]
+        assert [ns["seed"] for ns in seen] == [0, 0]
+
+
 class TestEigendecompositionCounts:
-    """One eigendecomposition per matrix that needs one."""
+    """One LAPACK eigenvalue call per matrix that needs one. The Perron checks
+    take eigenvalues only (np.linalg.eigvals) and find rho's vectors by
+    bordered solves; only extraction reads eigenvectors off np.linalg.eig."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        import matfrob.jordan
-        import matfrob.perron
+        calls = {"eig": [], "eigvals": []}
+        for name in calls:
+            original = getattr(np.linalg, name)
 
-        calls = []
-        for module in (matfrob.perron, matfrob.jordan):
-            original = module.eigen_decompose
-
-            def counting(a, _original=original):
-                calls.append(np.shape(a))
+            def counting(a, _original=original, _calls=calls[name]):
+                _calls.append(np.shape(a))
                 return _original(a)
 
-            monkeypatch.setattr(module, "eigen_decompose", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         return calls
 
     def test_check_evpos_decomposes_once(self, tmp_path, capsys, counted):
         assert main(["check-evpos", write_matrix(tmp_path, GOLDEN)]) == 0
-        assert len(counted) == 1
+        assert counted == {"eig": [], "eigvals": [(2, 2)]}
 
     def test_check_pf_decomposes_once(self, tmp_path, capsys, counted):
         assert main(["check-pf", write_matrix(tmp_path, GOLDEN)]) == 0
-        assert len(counted) == 1
+        assert counted == {"eig": [], "eigvals": [(2, 2)]}
 
     def test_verify_decomposes_a_and_f_of_a(self, tmp_path, capsys, counted):
         assert main(["verify", write_spec(tmp_path, PF_SPEC), "--fn", "exp"]) == 0
-        assert len(counted) == 1  # f(A) only; A's report comes from its factors
+        # f(A) only; A's report comes from its factors
+        assert counted == {"eig": [], "eigvals": [(2, 2)]}
 
     def test_apply_decomposes_once(self, tmp_path, capsys, counted):
         assert main(["apply", write_matrix(tmp_path, GOLDEN), "--fn", "exp"]) == 0
-        assert len(counted) == 1
+        assert counted == {"eig": [(2, 2)], "eigvals": []}
+
+    def test_non_simple_rho_falls_back_to_decompositions(
+        self, tmp_path, capsys, counted
+    ):
+        # rho = 1 is double, so no bordered solve is tried for either vector:
+        # A and A^T are decomposed
+        assert main(["check-evpos", write_matrix(tmp_path, [[1, 1], [0, 1]])]) == 1
+        assert counted == {"eig": [(2, 2), (2, 2)], "eigvals": [(2, 2)]}
 
 
 class TestSingularValueDecompositionCounts:

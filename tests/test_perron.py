@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from matfrob import (
     synthesize_matrix,
     verify_preservation_theorem,
 )
+from matfrob.core import DEFAULT_TOL, norm_inf
+from matfrob.perron import _perron_report
 from matfrob.sampling import (
     positive_column_orthogonal,
     random_orthogonal,
@@ -61,6 +64,12 @@ RHO_B = (1.0 + math.sqrt(17.0)) / 2.0
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+# eigenvalues 1 +- 3.5e-9 i and 0.1: rho lies 3.5e-9 from the spectrum, within
+# 1e-9 * ||A^T||_inf = 4.1e-9 but not 1e-9 * ||A||_inf = 3e-9, so only the
+# transpose side reads a vector, with no right vector to border with
+TRANSPOSE_ONLY_RHO = np.array(
+    [[1.0, -3.5e-9, 2.0], [3.5e-9, 1.0, 2.0], [0.0, 0.0, 0.1]]
+)
 
 
 class TestStrongPF:
@@ -187,7 +196,7 @@ class TestEventuallyPositive:
         # the transpose side comes from A's own spectrum and a left Perron
         # vector; every verdict must be the one a check of A^T gives
         rng = np.random.default_rng(31)
-        matrices = [B, SWAP, SHEAR, np.eye(3), np.zeros((3, 3)), -B]
+        matrices = [B, SWAP, SHEAR, np.eye(3), np.zeros((3, 3)), -B, TRANSPOSE_ONLY_RHO]
         for trial in range(300):
             n = int(rng.integers(2, 7))
             a = rng.uniform(-1.0, 1.0, size=(n, n))
@@ -726,3 +735,117 @@ class TestOneTableForBothSides:
         assert calls == [
             (Exp(), complex(lam), j) for lam, n in zip(lams, orders) for j in range(n)
         ]
+
+
+def eig_path_reports(a, tol=DEFAULT_TOL):
+    """Reference: both sides of eventually_positive_check read off a full
+    np.linalg.eig, rho's vector as that decomposition's column and the left
+    vector from the bordered solve on A^T as before, without a residual test."""
+    m = np.asarray(a, dtype=float)
+    n = m.shape[0]
+    w, v = np.linalg.eig(m)
+    w, v = w.astype(complex), v.astype(complex)
+
+    def left(idx, x):
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = m.T - w[idx].real * np.eye(n)
+        bordered[:n, n] = bordered[n, :n] = x
+        try:
+            return np.linalg.solve(bordered, np.eye(n + 1)[n])[:n]
+        except np.linalg.LinAlgError:
+            return x
+
+    r1 = _perron_report(w, lambda idx, simple: v[:, idx], norm_inf(m), tol)
+    r2 = _perron_report(w, lambda idx, simple: left(idx, r1.eigvec), norm_inf(m.T), tol)
+    return r1, r2
+
+
+def large_reference_set():
+    """20 seeded matrices with n from 50 to 120; every other one has a
+    positive shift, which makes it strong Perron-Frobenius."""
+    rng = np.random.default_rng(77)
+    for k in range(20):
+        n = int(rng.integers(50, 121))
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        yield a + rng.uniform(0.05, 0.3) if k % 2 else a
+
+
+DEGENERATE_BORDER = np.array([[0.0, 1.0], [-2.0, 3.0]])
+
+
+class TestBorderedPerronVectors:
+    """The Perron checks take eigenvalues only; rho's vectors come from
+    bordered solves, and a full decomposition only where those cannot serve."""
+
+    def test_verdicts_match_the_eig_path(self):
+        simple_sides = 0
+        for a in itertools.chain(threshold_reference_set(), large_reference_set()):
+            report = eventually_positive_check(a)
+            new = (report.matrix_report, report.transpose_report)
+            for side, (ref, got) in enumerate(zip(eig_path_reports(a), new)):
+                assert got.condition_verdicts() == ref.condition_verdicts(), (side, a)
+                if ref.simple:
+                    simple_sides += 1
+                    np.testing.assert_allclose(
+                        got.eigvec, ref.eigvec, rtol=0, atol=1e-10
+                    )
+            assert strong_pf_check(a).condition_verdicts() == (
+                new[0].condition_verdicts()
+            )
+        assert simple_sides > 3000
+
+    def test_ones_border_exactly_singular(self):
+        # rho = 2 with x = (1, 2), but the left vector (-1, 1) sums to zero,
+        # so the system bordered with ones is singular and x comes from eig
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(
+                [[-2.0, 1.0, 1.0], [-2.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [0, 0, 1.0]
+            )
+        report = strong_pf_check(DEGENERATE_BORDER)
+        assert report.overall
+        np.testing.assert_allclose(report.eigvec, [0.5, 1.0], rtol=0, atol=1e-12)
+        evpos = eventually_positive_check(DEGENERATE_BORDER)
+        assert evpos.matrix_report.failed_conditions() == []
+        assert evpos.transpose_report.failed_conditions() == ["eigvec_positive"]
+        assert power_threshold(DEGENERATE_BORDER, 64) is None
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.eye(3), np.diag([2.0, 2.0, 1.0]), SHEAR],
+        ids=["eye3", "diag221", "shear"],
+    )
+    def test_non_simple_rho_keeps_its_verdicts(self, a):
+        failed = ["eigvec_positive", "simple"]
+        assert strong_pf_check(a).failed_conditions() == failed
+        evpos = eventually_positive_check(a)
+        assert evpos.matrix_report.failed_conditions() == failed
+        assert evpos.transpose_report.failed_conditions() == failed
+
+    def test_residual_test_refuses_a_value_off_the_spectrum(self):
+        # the system is nonsingular at rho * (1 + 1e-6) too, but its x
+        # leaves a residual of about 1e-6 * ||B||, which the test refuses
+        vector = matfrob.perron._bordered_vector
+        x = vector(B, RHO_B, np.ones(2))
+        np.testing.assert_allclose(B @ x, RHO_B * x, rtol=0, atol=1e-14)
+        assert vector(B, RHO_B * (1 + 1e-6), np.ones(2)) is None
+
+    def test_nearly_degenerate_border_keeps_the_vector(self):
+        # the left vector's sum is of the order of the perturbation d, which
+        # makes the ones-bordered system ill-conditioned: at d = 1e-9 its x is
+        # off by 1.5e-9 and must go to the decomposition instead
+        for d in (1e-13, 1e-11, 1e-9, 1e-7, 1e-5):
+            a = DEGENERATE_BORDER + np.array([[0.0, 0.0], [0.0, d]])
+            rho = (3.0 + d + math.sqrt(1.0 + 6.0 * d + d * d)) / 2.0
+            report = strong_pf_check(a)
+            assert report.overall
+            np.testing.assert_allclose(
+                report.eigvec, [1 / rho, 1.0], rtol=0, atol=1e-12
+            )
+
+    def test_bordered_vector_is_scale_free(self):
+        x = matfrob.perron._bordered_vector(B, RHO_B, np.ones(2))
+        for e in (-1000, -500, 500, 1000):
+            scaled = matfrob.perron._bordered_vector(
+                np.ldexp(B, e), math.ldexp(RHO_B, e), np.ones(2)
+            )
+            assert np.array_equal(scaled, x)
