@@ -70,10 +70,11 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(rel_eps=args.tol)
 
 
-def _write_report(args, payload: dict) -> None:
+def _write_report(args, payload) -> None:
+    """payload() as JSON to --out; built only when --out is given."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload) + "\n")
+            fh.write(json.dumps(payload()) + "\n")
 
 
 def _emit_document(args, doc: dict) -> None:
@@ -159,7 +160,7 @@ def cmd_check_pf(args) -> int:
     report = strong_pf_check(a, tol)
     print(f"matrix: {name}")
     print(report.format_text())
-    _write_report(args, {"name": name, "report": report.to_dict()})
+    _write_report(args, lambda: {"name": name, "report": report.to_dict()})
     return EXIT_HOLDS if report.overall else EXIT_FAILS
 
 
@@ -224,7 +225,9 @@ def cmd_check_evpos(args) -> int:
         )
     _write_report(
         args,
-        {"name": name, "report": report.to_dict(), "power_threshold": threshold},
+        lambda: {
+            "name": name, "report": report.to_dict(), "power_threshold": threshold
+        },
     )
     return EXIT_HOLDS if report.overall else EXIT_FAILS
 
@@ -276,7 +279,9 @@ def cmd_verify(args) -> int:
         ) from exc
     print(f"matrix: {name}   function: {args.fn}")
     print(result.format_text())
-    _write_report(args, {"name": name, "fn": args.fn, "result": result.to_dict()})
+    _write_report(
+        args, lambda: {"name": name, "fn": args.fn, "result": result.to_dict()}
+    )
     return EXIT_HOLDS if result.theorem_consistent else EXIT_FAILS
 
 

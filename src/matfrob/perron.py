@@ -140,7 +140,8 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
     distance to the spectrum and the dominance margin are measured against
     ``tol.rel_eps * scale``, and the eigenvector, scaled to largest entry 1,
     against ``tol.rel_eps``, so these verdicts are invariant under positive
-    scaling of the matrix.
+    scaling of the matrix. ``eigvec`` is that vector's real part; an
+    imaginary part beyond ``tol.rel_eps`` fails ``eigvec_positive``.
     """
     negligible = tol.rel_eps * scale
     rho = float(np.max(np.abs(w)))
@@ -160,9 +161,12 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
         col = eigvec_at(idx, simple)
         k = int(np.argmax(np.abs(col)))
         col = col / col[k]
-        vec = col.real.copy()
-        eigvec = vec
-        eigvec_positive = bool(np.all(vec > tol.rel_eps))
+        eigvec = col.real.copy()
+        # a complex vector (of an eigenvalue beside the real axis) is no
+        # Perron vector, whatever its real part
+        eigvec_positive = bool(
+            np.all(eigvec > tol.rel_eps) and np.all(np.abs(col.imag) <= tol.rel_eps)
+        )
 
     others = w[~in_cluster]
     # None when every eigenvalue lies in rho's cluster: no margin to measure
@@ -347,6 +351,11 @@ def _power_of_two_scaled(a: np.ndarray, size: float) -> np.ndarray:
     return np.ldexp(a, -math.frexp(size)[1])
 
 
+def _rescaled(p: np.ndarray) -> np.ndarray:
+    """p scaled exactly, by a power of two, to largest entry in [0.5, 1)."""
+    return _power_of_two_scaled(p, max_abs(p))
+
+
 def power_threshold(a, k_max: int) -> int | None:
     """Brute-force positivity threshold by explicit powers.
 
@@ -362,28 +371,52 @@ def power_threshold(a, k_max: int) -> int | None:
     k is a sum of exponents in [s, 2s-1]. The scan therefore returns s as
     soon as it reaches k = 2s - 1 with no nonpositive power since s - 1,
     and gives the same answer as scanning all k_max powers. It forms 2s - 1
-    products for a threshold s <= (k_max + 1) / 2, and k_max otherwise,
-    in particular when there is no threshold.
+    products for a threshold s <= (k_max + 1) / 2.
+
+    It also decides half way. Let h = ceil(k_max / 2), where h + 2 < k_max
+    (k_max >= 6). If A^h is not positive, the last nonpositive power is at
+    least h, so the scan can no longer stop early, and the answer is None
+    exactly when A^(k_max - 1) or A^k_max is not positive. Each is one
+    product of A^h and A^(h-1), the powers in hand: k_max - 1 and k_max
+    split into (h - 1) + h and h + h for even k_max, and (h - 1) + (h - 1)
+    and (h - 1) + h for odd. A^(k_max - 1) is formed first, and if it is not
+    positive the answer is None without A^k_max: h + 1 products in all, or
+    h + 2 when only A^k_max is not positive. Otherwise the scan goes on as
+    before, which costs two extra products, and only for a threshold in
+    (h, k_max). Those two products associate differently from the scan's
+    A^(k_max - 1) A, so their signs can differ from the scan's only in
+    entries at rounding level. An input with A^h positive and no threshold
+    still forms k_max products, as does -P for a positive P when h is even.
 
     Positivity is scale invariant, so A is scaled once by a power of two
-    near ||A||_inf, making ||A^k||_inf non-increasing, and every 8th power
-    again against underflow. Powers of two scale exactly, so every sign is
-    the sign of the unscaled float64 product.
+    near ||A||_inf, making ||A^k||_inf non-increasing, and every 8th power,
+    A^(h-1) and A^h again against underflow. Powers of two scale exactly,
+    so every sign is the sign of the unscaled float64 product.
     """
     m = as_real_matrix(a)
     require_square(m)
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
+    half = (k_max + 1) // 2
+    if half + 2 >= k_max:  # the half-way decision would save no product
+        half = 0
     base = _power_of_two_scaled(m, norm_inf(m))
     power = np.eye(base.shape[0])
     last_nonpositive = 0
     for k in range(1, k_max + 1):
+        before = None
+        if k == half:  # A^(h-1) is kept for the one step that reaches A^h
+            before = power = _rescaled(power)
         power = power @ base
-        if k % 8 == 0:
-            power = _power_of_two_scaled(power, max_abs(power))
+        if k % 8 == 0 or k == half:
+            power = _rescaled(power)
         if not (power > 0.0).all():
             last_nonpositive = k
+            if k == half:
+                left = power if k_max % 2 == 0 else before
+                if not all((left @ right > 0.0).all() for right in (before, power)):
+                    return None
         elif k == 2 * last_nonpositive + 1:
             return last_nonpositive + 1
     if last_nonpositive >= max(k_max - 1, 1):

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 
+import matfrob.perron
 from matfrob import (
     Abs,
     Exp,
@@ -141,3 +142,29 @@ def count_svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
+
+
+class MatmulRecorder(np.ndarray):
+    """Array view that records the operand dtypes of each matmul it joins."""
+
+    dtypes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(np.asarray(x) for x in inputs)
+        if ufunc is np.matmul:
+            MatmulRecorder.dtypes.append(tuple(x.dtype for x in inputs))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def count_power_products(monkeypatch):
+    """Record every matrix product perron.power_threshold forms; returns the
+    list. Whatever _power_of_two_scaled returns becomes a recording view, and
+    every product has such an operand: the scaled A or a rescaled power."""
+    scale = matfrob.perron._power_of_two_scaled
+    MatmulRecorder.dtypes = []
+    monkeypatch.setattr(
+        matfrob.perron,
+        "_power_of_two_scaled",
+        lambda a, size: scale(a, size).view(MatmulRecorder),
+    )
+    return MatmulRecorder.dtypes

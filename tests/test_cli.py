@@ -5,10 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+from matfrob import perron
 from matfrob.cli import main
 from matfrob.documents import dump_document, load_document, parse_matrix_document
 
-from helpers import count_svd_calls, split_double_eigenvalue_matrix, strict_json
+from helpers import (
+    count_power_products,
+    count_svd_calls,
+    split_double_eigenvalue_matrix,
+    strict_json,
+)
 
 
 def write_matrix(tmp_path, rows, name="m"):
@@ -961,3 +967,81 @@ class TestEmission:
             strict_json(text)
         fa = load_document(tmp_path / "fa.json")
         assert fa["rows"] == stdout_doc["rows"]
+
+
+class TestReportBuiltOnlyForOut:
+    """Without --out no command builds the report's dict."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("to_dict called without --out")
+
+        for cls in (
+            perron.PerronReport,
+            perron.EventualPositivityReport,
+            perron.PreservationResult,
+        ):
+            monkeypatch.setattr(cls, "to_dict", refuse)
+
+    @pytest.mark.parametrize(
+        "command, write, doc, options",
+        [
+            ("check-pf", write_matrix, GOLDEN, []),
+            ("check-evpos", write_matrix, GOLDEN, []),
+            ("verify", write_spec, PF_SPEC, ["--fn", "exp"]),
+        ],
+        ids=["check-pf", "check-evpos", "verify"],
+    )
+    def test_no_out_no_dict(
+        self, tmp_path, capsys, refused, command, write, doc, options
+    ):
+        assert main([command, write(tmp_path, doc), *options]) == 0
+
+
+def _evpos_benchmark_matrix(rng, n, control):
+    """An n x n matrix built as the evpos benchmark builds its inputs.
+
+    A = R J R^-1 with R = Q diag(d), Q orthogonal with an entrywise positive
+    first column, and J real diagonal with rho = 2 simple and the rest in
+    0.05 ... 0.8 times rho in modulus. A control flips one entry of that
+    column, so rho's right and left vectors both have a negative entry.
+    """
+    u = rng.uniform(0.5, 1.5, size=n)
+    if control:
+        u[rng.integers(n)] *= -1.0
+    q, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((n, n - 1))]))
+    if q[0, 0] * u[0] < 0.0:
+        q[:, 0] = -q[:, 0]
+    d = rng.uniform(0.6, 1.8, size=n)
+    others = 2.0 * rng.uniform(0.05, 0.8, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    return ((q * d) * np.concatenate([[2.0], others])) @ (q.T / d[:, None])
+
+
+class TestHalfWayThreshold:
+    """check-evpos --kmax 64 on a 30 x 30 control forms h + 1 = 33 products:
+    A^32 is not positive, and neither is A^63 = A^32 A^31, so A^64 is never
+    formed. Its planted twin stops early at 2s - 1."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        return count_power_products(monkeypatch)
+
+    def test_control(self, tmp_path, capsys, products):
+        a = _evpos_benchmark_matrix(np.random.default_rng(15), 30, control=True)
+        code = main(["check-evpos", write_matrix(tmp_path, a.tolist()), "--kmax", "64"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "eventually positive: NO" in out
+        assert "power threshold: none up to k_max = 64" in out
+        assert "DEFECT" not in out
+        assert len(products) == 33
+
+    def test_planted_twin(self, tmp_path, capsys, products):
+        a = _evpos_benchmark_matrix(np.random.default_rng(15), 30, control=False)
+        code = main(["check-evpos", write_matrix(tmp_path, a.tolist()), "--kmax", "64"])
+        out = capsys.readouterr().out
+        assert code == 0
+        s = int(re.search(r"power threshold: (\d+) ", out).group(1))
+        assert "DEFECT" not in out
+        assert 2 * s - 1 < 64 and len(products) == 2 * s - 1

@@ -32,6 +32,7 @@ from matfrob.jordan import block_diag, jordan_block
 from matfrob.sampling import random_orthogonal, random_pf_factors
 
 from helpers import (
+    MatmulRecorder,
     assert_multiset_close,
     differentiable_catalogue,
     random_domain_points,
@@ -483,18 +484,6 @@ class TestScaleEquivariance:
             _, factors = synthesize_matrix(spec, r)
             with pytest.raises(NonRealResultError, match="not real-valued"):
                 matrix_function(factors, PrincipalRoot(3))
-
-
-class MatmulRecorder(np.ndarray):
-    """Array view that records the operand dtypes of each matmul it joins."""
-
-    dtypes: list = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = tuple(np.asarray(x) for x in inputs)
-        if ufunc is np.matmul:
-            MatmulRecorder.dtypes.append(tuple(x.dtype for x in inputs))
-        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class TestRealAssembly:

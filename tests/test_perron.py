@@ -39,12 +39,13 @@ from matfrob.sampling import (
 
 from helpers import (
     NEGATE,
+    count_power_products,
     count_scalar_calls,
     differentiable_catalogue,
     full_catalogue,
     spec_at,
 )
-from test_funcalc import MatmulRecorder, SkewedDerivatives, TiltedSlope
+from test_funcalc import SkewedDerivatives, TiltedSlope
 
 
 class ShiftedOffAxis(SpectralFunction):
@@ -69,6 +70,10 @@ SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 # transpose side reads a vector, with no right vector to border with
 TRANSPOSE_ONLY_RHO = np.array(
     [[1.0, -3.5e-9, 2.0], [3.5e-9, 1.0, 2.0], [0.0, 0.0, 0.1]]
+)
+# A^32 and A^36 are not positive, A^37 ... A^64 are: threshold 37 at k_max 64
+MID_THRESHOLD = np.array(
+    [[0.62, -0.5, 1.14], [0.97, 0.61, 0.01], [-0.47, 1.23, -0.12]]
 )
 
 
@@ -215,6 +220,14 @@ class TestEventuallyPositive:
                 strong_pf_check(a).condition_verdicts()
             ), a
 
+    def test_complex_vector_is_not_a_positive_perron_vector(self):
+        # the transpose side reads the vector of 1 + 3.5e-9 i, whose real
+        # part is positive; its imaginary part fails eigvec_positive
+        side = eventually_positive_check(TRANSPOSE_ONLY_RHO).transpose_report
+        assert side.rho_in_spectrum and np.all(side.eigvec > 0.0)
+        assert not side.eigvec_positive
+        assert not side.simple and not side.overall
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, value):
         a = B.copy()
@@ -285,15 +298,7 @@ def threshold_reference_set():
 class TestPowerThreshold:
     @pytest.fixture
     def products(self, monkeypatch):
-        """Count the matrix products power_threshold forms."""
-        scale = matfrob.perron._power_of_two_scaled
-
-        def recording_scale(a, size):
-            return scale(a, size).view(MatmulRecorder)
-
-        MatmulRecorder.dtypes = []
-        monkeypatch.setattr(matfrob.perron, "_power_of_two_scaled", recording_scale)
-        return MatmulRecorder.dtypes
+        return count_power_products(monkeypatch)
 
     def test_early_stop_matches_the_full_scan(self):
         counts = {"finite": 0, "none": 0}
@@ -310,13 +315,25 @@ class TestPowerThreshold:
             (B, 64, 4, 7),  # B^4 .. B^7 positive
             (np.ones((3, 3)), 64, 1, 1),
             (-B, 64, None, 64),  # only the even powers are positive
-            (np.eye(2), 64, None, 64),
+            # A^h, h = ceil(k_max / 2), is not positive, so the answer is read
+            # off A^(k_max - 1) and A^k_max, formed from A^h and A^(h - 1);
+            # the first of them is not positive, so the second is never formed
+            (np.eye(2), 64, None, 33),
             (B, 10**9, 4, 7),  # the horizon is never reached
             (B, 5, 4, 5),  # a threshold past (k_max + 1) / 2 scans to k_max
             # a threshold of exactly k_max still reads None
             (B, 4, None, 4),
             (np.array([[0.0, 1.0], [1.0, 1.0]]), 2, None, 2),
             (np.array([[0.0, 1.0], [1.0, 1.0]]), 3, 2, 3),
+            (np.eye(2), 65, None, 34),
+            (SWAP, 64, None, 33),
+            (np.eye(2), 6, None, 4),  # the smallest horizon that decides half way
+            (np.eye(2), 5, None, 5),  # h + 2 = k_max would save nothing
+            # (-B)^33 < 0 and (-B)^64 > 0, so (-B)^65 decides: h + 2 products
+            (-B, 65, None, 35),
+            # a threshold in (h, k_max) pays both half-way products on top,
+            # and is the full scan's answer
+            (MID_THRESHOLD, 64, 37, 66),
         ],
     )
     def test_product_count(self, products, a, k_max, threshold, count):
