@@ -31,7 +31,6 @@ from .funcalc import (
     PrincipalRoot,
     ScaledSum,
     SpectralFunction,
-    defined_on_spectrum,
     matrix_function,
     taylor_oracle,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "Exp",
     "Polynomial",
     "ScaledSum",
-    "defined_on_spectrum",
     "matrix_function",
     "taylor_oracle",
     "DomainError",

@@ -12,9 +12,11 @@ reconstruction demands.
 The value of f on a matrix in factored form A = R J R^{-1} is assembled
 blockwise from one table of f^(j)(lambda) on the spectrum: an upper
 triangular Toeplitz block per real Jordan block, and a rotation-block
-Toeplitz per conjugate pair. A real result needs f^(j)(conj lambda) =
-conj f^(j)(lambda); one test on the table decides it, here and in
-perron.frobenius_check.
+Toeplitz per conjugate pair. The table's rows come from one walk of the
+spectrum, defined_on_spectrum, which refuses an f the structure cannot
+use. A real result needs f^(j)(conj lambda) = conj f^(j)(lambda); one
+test on the table decides it, run once per table: by matrix_function
+here, or by perron.frobenius_check, whose failures then form f(A).
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "Exp",
     "Polynomial",
     "ScaledSum",
-    "CheckResult",
-    "defined_on_spectrum",
     "func_jordan_block",
     "func_real_jordan_block",
     "matrix_function",
@@ -319,38 +319,28 @@ class ScaledSum(SpectralFunction):
         return acc
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Boolean verdict with an optional (point, order) witness."""
+def defined_on_spectrum(
+    f: SpectralFunction, spec: JordanSpec
+) -> list[tuple[complex, int]]:
+    """spec's distinct eigenvalues with their indices, once f is known to serve them.
 
-    ok: bool
-    witness: tuple[complex, int] | None = None
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def defined_on_spectrum(f: SpectralFunction, spec: JordanSpec) -> CheckResult:
-    """Whether every value/derivative the Jordan structure needs exists.
-
-    An eigenvalue of index m needs f^(j) for j = 0..m-1. On failure the
-    witness carries the offending eigenvalue and the first missing order.
+    An eigenvalue of index m needs f^(j) for j = 0..m-1. The first one f
+    cannot serve raises NotDefinedOnSpectrumError, naming it and the first
+    missing order.
     """
     cap = f.max_derivative_order()
-    for lam, index in spec.distinct_eigenvalues():
+    distinct = spec.distinct_eigenvalues()
+    for lam, index in distinct:
         if not f.defined_at(lam):
-            return CheckResult(
-                False, (lam, 0), f"{lam} is outside the domain of {f.describe()}"
+            raise NotDefinedOnSpectrumError(
+                f"{lam} is outside the domain of {f.describe()}"
             )
         if cap is not None and index - 1 > cap:
-            return CheckResult(
-                False,
-                (lam, cap + 1),
+            raise NotDefinedOnSpectrumError(
                 f"{f.describe()} has no order-{cap + 1} derivative needed by a "
-                f"size-{index} block at {lam}",
+                f"size-{index} block at {lam}"
             )
-    return CheckResult(True)
+    return distinct
 
 
 def _spectral_table(f: SpectralFunction, spec: JordanSpec) -> dict[complex, list]:
@@ -361,12 +351,9 @@ def _spectral_table(f: SpectralFunction, spec: JordanSpec) -> dict[complex, list
     NotDefinedOnSpectrumError when the structure needs a value or
     derivative f cannot provide.
     """
-    check = defined_on_spectrum(f, spec)
-    if not check:
-        raise NotDefinedOnSpectrumError(check.reason)
     return {
         lam: [f.eval(lam), *(f.deriv(lam, j) for j in range(1, index))]
-        for lam, index in spec.distinct_eigenvalues()
+        for lam, index in defined_on_spectrum(f, spec)
     }
 
 
@@ -417,10 +404,9 @@ def func_real_jordan_block(row, size: int) -> np.ndarray:
 
 
 def _assemble(
-    factors: RealJordanFactors, f: SpectralFunction, table: dict, tol: Tolerance
+    factors: RealJordanFactors, f: SpectralFunction, table: dict, failed: list
 ) -> np.ndarray:
-    """R f(J) R^{-1} from f's table on the spectrum; see matrix_function."""
-    failed = [d for d in _conjugate_defects(table, tol) if d[2] > d[3]]
+    """R f(J) R^{-1} from f's table and its failing _conjugate_defects entries."""
     if failed:
         # min keeps the first failure at a complex pair, if there is one
         lam, j, defect, limit = min(failed, key=lambda d: not d[0].imag)
@@ -456,7 +442,9 @@ def matrix_function(
     R f(J) R^{-1} is one float64 product. A result with a non-finite entry
     or infinity norm raises DomainError.
     """
-    return _assemble(factors, f, _spectral_table(f, factors.spec), tol)
+    table = _spectral_table(f, factors.spec)
+    failed = [d for d in _conjugate_defects(table, tol) if d[2] > d[3]]
+    return _assemble(factors, f, table, failed)
 
 
 def taylor_oracle(a, f: SpectralFunction, terms: int) -> np.ndarray:

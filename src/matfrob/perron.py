@@ -12,14 +12,15 @@ real, and satisfies |f(lambda)| < f(rho) strictly inside the spectral
 circle; on a size-m Jordan block the first covers f^(j) for j < m.
 frobenius_check measures them on funcalc's table of f^(j) on the
 spectrum, relative to the size of f there, and verify_preservation_theorem
-forms f(A) from the same table and compares the two verdicts.
+forms f(A) from the same table and the same conjugate-symmetry failures,
+and compares the two verdicts.
 
 A matrix given by its entries gets its eigenvalues alone from LAPACK, and
 rho's right and left eigenvectors each from one real bordered solve; it is
 fully decomposed only when rho is not simple or a solve fails its
-residual test. A matrix given by its real Jordan factors A = R J R^{-1} is
-not decomposed at all: its spectrum is the spec's, exactly, and its
-eigenvectors are columns of R.
+residual test (_perron_vector). A matrix given by its real Jordan factors
+A = R J R^{-1} is not decomposed at all: its spectrum is the spec's,
+exactly, and its eigenvectors are read off the columns of R.
 """
 
 from __future__ import annotations
@@ -216,7 +217,10 @@ def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     w = _eigenvalues(m)
     ones = np.ones(len(w))
     return _perron_report(
-        w, lambda idx, simple: _perron_vector(m, w[idx], ones, simple), scale, tol
+        w,
+        lambda i, simple: _perron_vector(m, w[i].real, ones if simple else None),
+        scale,
+        tol,
     )
 
 
@@ -235,59 +239,44 @@ def _finite_norm(m: np.ndarray) -> float:
 _BORDERED_RESIDUAL_ULPS = 1024
 
 
-def _bordered_vector(
-    m: np.ndarray, lam: float, border: np.ndarray
-) -> np.ndarray | None:
-    """Eigenvector x of m at its eigenvalue lam by one real solve, or None.
-
-    Solves [[m - lam I, border], [border^T, 0]] [x; mu] = [0; 1], which is
-    nonsingular when lam is simple and its left and right eigenvectors both
-    have a nonzero product with `border`; then m x = lam x. m and lam are
-    first scaled by the same power of two, which leaves x unchanged. x counts
-    only if the solve succeeds, x is finite, and ||m x - lam x||_inf is at
-    most _BORDERED_RESIDUAL_ULPS * n * eps * ||m||_inf * ||x||_inf, so that
-    x is about as accurate as a decomposition's column; a border nearly
-    orthogonal to the left eigenvector makes the system ill-conditioned and
-    fails this test.
-    """
-    n = m.shape[0]
-    exponent = -math.frexp(norm_inf(m))[1]
-    m, lam = np.ldexp(m, exponent), math.ldexp(lam, exponent)
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = m
-    bordered[range(n), range(n)] -= lam
-    bordered[:n, n] = border
-    bordered[n, :n] = border
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    try:
-        x = np.linalg.solve(bordered, rhs)[:n]
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(x).all():
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = norm_inf(m @ x - lam * x)
-    limit = _BORDERED_RESIDUAL_ULPS * n * np.finfo(float).eps
-    return x if residual <= limit * norm_inf(m) * norm_inf(x) else None
-
-
-def _perron_vector(
-    m: np.ndarray, lam: complex, border: np.ndarray | None, simple: bool
-) -> np.ndarray:
+def _perron_vector(m: np.ndarray, lam: float, border: np.ndarray | None) -> np.ndarray:
     """Eigenvector of m at lam, its eigenvalue nearest rho.
 
-    A simple rho is real, and its vector is the bordered solve. When rho is
-    not simple, or that solve fails, or there is no border (only the
-    transpose side's wider radius places lam at rho, so the matrix side
-    found no x), m is fully decomposed and the vector is the column at the
-    eigenvalue nearest that decomposition's own spectral radius.
+    Callers pass a border only when rho is simple, and so real. Then one real
+    solve of [[m - lam I, border], [border^T, 0]] [x; mu] = [0; 1], with m and
+    lam scaled by the same power of two (which leaves x unchanged), gives
+    m x = lam x when lam is simple and its left and right eigenvectors both
+    have a nonzero product with `border`. x counts only if it is finite and
+    ||m x - lam x||_inf <= _BORDERED_RESIDUAL_ULPS * n * eps * ||m||_inf *
+    ||x||_inf, about the accuracy of a decomposition's column; a border nearly
+    orthogonal to the left eigenvector makes the system ill-conditioned and
+    fails this test. Otherwise, or without a border, m is fully decomposed and
+    the vector is the column at the eigenvalue nearest that decomposition's
+    own spectral radius.
     """
-    x = _bordered_vector(m, lam.real, border) if simple and border is not None else None
-    if x is None:
-        w, v = eigen_decompose(m)
-        x = v[:, int(np.argmin(np.abs(w - np.max(np.abs(w)))))]
-    return x
+    if border is not None:
+        n = m.shape[0]
+        exponent = -math.frexp(norm_inf(m))[1]
+        scaled, shift = np.ldexp(m, exponent), math.ldexp(lam, exponent)
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = scaled
+        bordered[range(n), range(n)] -= shift
+        bordered[:n, n] = border
+        bordered[n, :n] = border
+        rhs = np.zeros(n + 1)
+        rhs[n] = 1.0
+        try:
+            x = np.linalg.solve(bordered, rhs)[:n]
+        except np.linalg.LinAlgError:
+            x = None
+        if x is not None and np.isfinite(x).all():
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = norm_inf(scaled @ x - shift * x)
+            limit = _BORDERED_RESIDUAL_ULPS * n * np.finfo(float).eps
+            if residual <= limit * norm_inf(scaled) * norm_inf(x):
+                return x
+    w, v = eigen_decompose(m)
+    return v[:, int(np.argmin(np.abs(w - np.max(np.abs(w)))))]
 
 
 @dataclass(frozen=True)
@@ -336,10 +325,14 @@ def eventually_positive_check(
     w = _eigenvalues(m)
     ones = np.ones(len(w))
     r1 = _perron_report(
-        w, lambda idx, simple: _perron_vector(m, w[idx], ones, simple), scale, tol
+        w,
+        lambda i, simple: _perron_vector(m, w[i].real, ones if simple else None),
+        scale,
+        tol,
     )
     r2 = _perron_report(
-        w, lambda idx, simple: _perron_vector(m.T, w[idx], r1.eigvec, simple),
+        w,
+        lambda i, simple: _perron_vector(m.T, w[i].real, r1.eigvec if simple else None),
         scale_t,
         tol,
     )
@@ -430,8 +423,9 @@ class FrobeniusVerdict:
 
     Witnesses record the worst observed entry: the largest conjugate-symmetry
     defect, a failing one first, with its point and order; the smallest
-    domination gap. ``table`` holds f^(j)(lam) on the spectrum for
-    verify_preservation_theorem to form f(A); to_dict leaves it out.
+    domination gap. ``table`` holds f^(j)(lam) on the spectrum and
+    ``conjugate_failures`` the entries failing the conjugate-symmetry test,
+    for verify_preservation_theorem to form f(A); to_dict leaves both out.
     """
 
     conjugate_symmetry: bool
@@ -442,6 +436,7 @@ class FrobeniusVerdict:
     positivity_at_rho: bool
     overall: bool
     table: dict[complex, list] = field(repr=False, compare=False)
+    conjugate_failures: list = field(repr=False, compare=False)
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -532,7 +527,7 @@ def frobenius_check(
             )
 
     defects = list(_conjugate_defects(table, tol))
-    conj_ok = not any(defect > limit for _, _, defect, limit in defects)
+    failed = [d for d in defects if d[2] > d[3]]
     lam, j, defect, _ = max(defects, key=lambda d: (d[2] > d[3], d[2]))
     dom_ok = True
     marginal = False
@@ -547,9 +542,9 @@ def frobenius_check(
                 if abs(gap) <= negligible:
                     marginal = True
 
-    overall = conj_ok and dom_ok and positivity
+    overall = not failed and dom_ok and positivity
     return FrobeniusVerdict(
-        conjugate_symmetry=conj_ok,
+        conjugate_symmetry=not failed,
         conjugate_witness=(lam, j, defect),
         modulus_domination=dom_ok,
         modulus_marginal=marginal,
@@ -557,6 +552,7 @@ def frobenius_check(
         positivity_at_rho=positivity,
         overall=overall,
         table=table,
+        conjugate_failures=failed,
         notes=tuple(notes),
     )
 
@@ -607,22 +603,27 @@ def verify_preservation_theorem(
 ) -> PreservationResult:
     """Compare the scalar verdict with the matrix-level outcome on f(A).
 
-    A's report is read off its factors, with no eigendecomposition: the
-    spectrum is the spec's exact eigenvalue multiset, listed block by block
-    in the transform's column order, so the first slot of the block at rho
-    indexes its eigenvector, a column of R. Only f(A) is decomposed.
+    frobenius_check comes first, at A's spectral radius, so an f undefined
+    on the spectrum raises NotDefinedOnSpectrumError whatever A is. A's
+    report is read off its factors, with no eigendecomposition: the spectrum
+    is the spec's exact eigenvalue multiset, listed block by block in the
+    transform's column order, so the first slot k of the block nearest rho
+    indexes its eigenvector, R[:, k], or R[:, k] + i R[:, k+1] at a non-real
+    eigenvalue. Only f(A) is decomposed.
 
     A must carry the strong Perron-Frobenius property to begin with (the
     equivalence says nothing otherwise); violating that raises
     PreconditionError. f(A) is formed, as in matrix_function, from the table
-    frobenius_check built. A conjugate-symmetry or non-real-result failure
-    there is the "f(A) is not a real strong Perron-Frobenius matrix"
-    outcome, not an error. Other failures (f undefined on the spectrum)
-    propagate, since they void the comparison's hypothesis.
+    and conjugate-symmetry failures frobenius_check found; such a failure is
+    the "f(A) is not a real strong Perron-Frobenius matrix" outcome, not an
+    error. Other failures propagate.
     """
+    w = np.array(factors.spec.eigenvalue_multiset())
+    verdict = frobenius_check(f, factors.spec, np.max(np.abs(w)), tol)
+    r = factors.transform
     a_report = _perron_report(
-        np.array(factors.spec.eigenvalue_multiset()),
-        lambda idx, simple: factors.transform[:, idx],
+        w,
+        lambda k, simple: r[:, k] + 1j * r[:, k + 1] if w[k].imag else r[:, k],
         _finite_norm(factors.reconstruct()),
         tol,
     )
@@ -631,14 +632,13 @@ def verify_preservation_theorem(
             "the factored matrix lacks the strong Perron-Frobenius property "
             f"(failed: {', '.join(a_report.failed_conditions())})"
         )
-    verdict = frobenius_check(f, factors.spec, a_report.rho, tol)
 
     f_of_a = None
     fa_error = None
     fa_report = None
     fa_pf = False
     try:
-        f_of_a = _assemble(factors, f, verdict.table, tol)
+        f_of_a = _assemble(factors, f, verdict.table, verdict.conjugate_failures)
     except (ConjugateSymmetryError, NonRealResultError) as exc:
         fa_error = str(exc)
     else:

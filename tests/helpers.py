@@ -144,6 +144,23 @@ def count_svd_calls(monkeypatch):
     return calls
 
 
+def count_calls(monkeypatch, name, *owners):
+    """Record the arguments of every call to the function `name` through any
+    of `owners`, the modules that import it by name or the class it is a
+    method of; returns the list."""
+    calls = []
+    original = getattr(owners[0], name)
+    assert all(getattr(owner, name) is original for owner in owners)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class MatmulRecorder(np.ndarray):
     """Array view that records the operand dtypes of each matmul it joins."""
 

@@ -10,6 +10,7 @@ from matfrob.cli import main
 from matfrob.documents import dump_document, load_document, parse_matrix_document
 
 from helpers import (
+    count_calls,
     count_power_products,
     count_svd_calls,
     split_double_eigenvalue_matrix,
@@ -599,6 +600,17 @@ class TestVerify:
         capsys.readouterr()
         assert len(calls) == 1
 
+    def test_domain_named_before_the_baseline(self, tmp_path, capsys):
+        # rho = 2 sits in a size-2 block, so A is no strong Perron-Frobenius
+        # baseline either; f's domain is checked first, and named
+        spec = {"real_blocks": [{"lambda": 2, "size": 2}]}
+        assert main(["verify", write_spec(tmp_path, spec), "--fn", "abs"]) == 2
+        assert capsys.readouterr().err == (
+            "error: abs is not usable on this spectrum: abs has no order-1 "
+            "derivative needed by a size-2 block at (2+0j). Choose a function "
+            "defined (with enough derivatives) at every eigenvalue.\n"
+        )
+
     def test_non_pf_baseline_rejected(self, tmp_path, capsys):
         spec = {
             "real_blocks": [{"lambda": 2.0}, {"lambda": 1.0}],
@@ -916,6 +928,28 @@ class TestSingularValueDecompositionCounts:
     def test_synthesize(self, tmp_path, capsys, counted):
         assert main(["synthesize", write_spec(tmp_path, PF_SPEC)]) == 0
         assert len(counted) == 2
+
+
+class TestOneEvidencePass:
+    """f's table comes from one walk of the spectrum, and its conjugate-symmetry
+    test runs once, read by both sides of verify."""
+
+    @pytest.mark.parametrize("command", ["verify", "apply"])
+    def test_one_walk_and_one_conjugate_pass(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        from matfrob import funcalc
+        from matfrob.jordan import JordanSpec
+
+        walks = count_calls(monkeypatch, "distinct_eigenvalues", JordanSpec)
+        passes = count_calls(monkeypatch, "_conjugate_defects", funcalc, perron)
+        if command == "verify":
+            path = write_spec(tmp_path, _positive_perron_spec(6))
+        else:  # a matrix, through extraction
+            path = write_matrix(tmp_path, GOLDEN)
+        assert main([command, path, "--fn", "exp"]) == 0
+        capsys.readouterr()
+        assert (len(walks), len(passes)) == (1, 1)
 
 
 def _positive_perron_spec(n):

@@ -19,7 +19,6 @@ from matfrob import (
     PrincipalRoot,
     ScaledSum,
     SpectralFunction,
-    defined_on_spectrum,
     extract_diagonalizable_structure,
     frobenius_check,
     matrix_function,
@@ -27,7 +26,11 @@ from matfrob import (
     taylor_oracle,
 )
 from matfrob.core import eigen_decompose
-from matfrob.funcalc import func_jordan_block, func_real_jordan_block
+from matfrob.funcalc import (
+    defined_on_spectrum,
+    func_jordan_block,
+    func_real_jordan_block,
+)
 from matfrob.jordan import block_diag, jordan_block
 from matfrob.sampling import random_orthogonal, random_pf_factors
 
@@ -256,32 +259,37 @@ class TestNonFiniteParameters:
 
 
 class TestDefinedOnSpectrum:
+    """The one walk of the spectrum: its (lam, index) pairs, or the first
+    eigenvalue and order f cannot serve, named in the raised message."""
+
     def test_entire_always_works(self):
         spec = JordanSpec(real_blocks=((2.0, 4),), complex_blocks=((1j, 3),))
-        assert defined_on_spectrum(Exp(), spec)
+        assert defined_on_spectrum(Exp(), spec) == spec.distinct_eigenvalues()
 
     def test_abs_blocked_by_size_two(self):
         spec = JordanSpec(real_blocks=((2.0, 2),))
-        check = defined_on_spectrum(Abs(), spec)
-        assert not check
-        assert check.witness == (2.0 + 0j, 1)
+        with pytest.raises(NotDefinedOnSpectrumError) as err:
+            defined_on_spectrum(Abs(), spec)
+        assert str(err.value) == (
+            "abs has no order-1 derivative needed by a size-2 block at (2+0j)"
+        )
 
     def test_even_root_blocked_by_negative_real(self):
         spec = JordanSpec(real_blocks=((2.0, 1), (-1.0, 1)))
-        check = defined_on_spectrum(PrincipalRoot(2), spec)
-        assert not check
-        assert check.witness == (-1.0 + 0j, 0)
+        with pytest.raises(NotDefinedOnSpectrumError) as err:
+            defined_on_spectrum(PrincipalRoot(2), spec)
+        assert str(err.value) == "(-1+0j) is outside the domain of root:2"
 
     def test_odd_root_fine_off_origin(self):
         spec = JordanSpec(real_blocks=((-1.0, 2),))
-        assert defined_on_spectrum(PrincipalRoot(3), spec)
+        assert defined_on_spectrum(PrincipalRoot(3), spec) == [(-1.0 + 0j, 2)]
 
     @pytest.mark.parametrize("order", [(1e-10, 0.0), (0.0, 1e-10)])
     def test_excluded_origin_not_hidden_by_a_near_eigenvalue(self, order):
         spec = JordanSpec(real_blocks=((2.0, 1),) + tuple((x, 1) for x in order))
-        check = defined_on_spectrum(PrincipalRoot(3), spec)
-        assert not check
-        assert check.witness == (0j, 0)
+        with pytest.raises(NotDefinedOnSpectrumError) as err:
+            defined_on_spectrum(PrincipalRoot(3), spec)
+        assert str(err.value) == "0j is outside the domain of root:3"
 
 
 class TestFuncJordanBlock:

@@ -2,7 +2,9 @@ import runpy
 from collections import Counter
 from pathlib import Path
 
-from helpers import count_scalar_calls
+import matfrob.perron
+
+from helpers import count_calls, count_scalar_calls
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -64,11 +66,15 @@ exp(B) eventually positive: yes (power threshold 1)
 """
 
 
-def test_preservation_suite_table(capsys):
+def test_preservation_suite_table(capsys, monkeypatch):
+    reports = count_calls(monkeypatch, "_perron_report", matfrob.perron)
     suite = runpy.run_path(str(SCRIPTS / "run_preservation_suite.py"))
     code = suite["main"](["--trials", "500", "--seed", "1"])
     assert code == 0
     assert capsys.readouterr().out == SUITE_TABLE_SEED_1
+    # f's domain is checked before A's report, so the 284 skipped root:2
+    # trials build none
+    assert len(reports) <= 7148
 
 
 def test_power_threshold_demo_output(capsys):
