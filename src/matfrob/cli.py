@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -73,8 +72,7 @@ def _tolerance(args) -> Tolerance:
 def _write_report(args, payload) -> None:
     """payload() as JSON to --out; built only when --out is given."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload()) + "\n")
+        dump_document(payload(), args.out)
 
 
 def _emit_document(args, doc: dict) -> None:
@@ -99,35 +97,39 @@ def _require_fn(args):
     return parse_function_expression(args.fn)
 
 
-def _synthesize_from_spec(args, doc):
-    """Factored-form document to (name, matrix, factors).
+def _load_as_factors(args, needs: str | None = None):
+    """The input document in factored form: (name, matrix, factors).
 
-    A document without a transform gets a random orthogonal one drawn from
-    --seed, which must be nonnegative.
+    A matrix document is read for its structure; it is refused when
+    `needs` names a command that takes a factored form only. A factored
+    form without a transform gets a random orthogonal one drawn from
+    --seed, which must be nonnegative. The JSON object is dropped once
+    parsed, so it does not live through the O(n^3) work.
     """
+    doc = load_document(args.input)
+    if needs is None and is_matrix_document(doc):
+        name, a = parse_matrix_document(doc)
+        del doc
+        return name, a, extract_diagonalizable_structure(a)
+    if not is_spec_document(doc):
+        if needs is None:
+            raise MatFrobError(
+                f"{args.input}: document is neither a matrix (rows) nor a "
+                "factored form (real_blocks / complex_blocks)"
+            )
+        raise MatFrobError(
+            f"{args.input}: {needs} needs a factored-form document "
+            "(real_blocks / complex_blocks)"
+        )
     if args.seed < 0:
         raise MatFrobError(f"--seed must be nonnegative, got {args.seed}")
     name, spec, transform = parse_spec_document(doc)
+    del doc
     if transform is None:
         rng = np.random.default_rng(args.seed)
         transform = random_orthogonal(rng, spec.total_dimension)
     a, factors = synthesize_matrix(spec, transform)
     return name, a, factors
-
-
-def _load_as_factors(args):
-    """Either document kind to factored form: (name, matrix, factors)."""
-    doc = load_document(args.input)
-    if is_matrix_document(doc):
-        name, a = parse_matrix_document(doc)
-        factors = extract_diagonalizable_structure(a)
-        return name, a, factors
-    if is_spec_document(doc):
-        return _synthesize_from_spec(args, doc)
-    raise MatFrobError(
-        f"{args.input}: document is neither a matrix (rows) nor a factored "
-        "form (real_blocks / complex_blocks)"
-    )
 
 
 def _oracle(a, f) -> np.ndarray:
@@ -258,13 +260,7 @@ def cmd_apply(args) -> int:
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
     f = _require_fn(args)
-    doc = load_document(args.input)
-    if not is_spec_document(doc):
-        raise MatFrobError(
-            f"{args.input}: verify needs a factored-form document "
-            "(real_blocks / complex_blocks)"
-        )
-    name, _, factors = _synthesize_from_spec(args, doc)
+    name, _, factors = _load_as_factors(args, "verify")
     try:
         result = verify_preservation_theorem(factors, f, tol)
     except PreconditionError as exc:
@@ -286,13 +282,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    doc = load_document(args.input)
-    if not is_spec_document(doc):
-        raise MatFrobError(
-            f"{args.input}: synthesize needs a factored-form document "
-            "(real_blocks / complex_blocks)"
-        )
-    name, a, factors = _synthesize_from_spec(args, doc)
+    name, a, factors = _load_as_factors(args, "synthesize")
     _emit_document(args, matrix_document(name, a))
     _report_line(
         args,

@@ -4,9 +4,14 @@ Two document kinds travel through the command line: a matrix document
 ({"name": ..., "rows": [[...], ...]}) and a factored-form document
 ({"real_blocks": [{"lambda": ..., "size": ...}], "complex_blocks":
 [{"re": ..., "im": ..., "size": ...}], optional "transform" rows, optional
-"name"}). Documents are emitted as single-line JSON in one pass of the C
-encoder (`python -m json.tool` pretty-prints them), with repr-faithful
-floats, so every emitted document re-parses to exactly the same values.
+"name"}). Documents are read as UTF-8 JSON objects in which no object
+repeats a key. They are emitted as single-line JSON (`python -m json.tool`
+pretty-prints them) with repr-faithful floats, so every emitted document
+re-parses to exactly the same values. A file is written one row at a time:
+each top-level key, and each item of a list such as a row of "rows" or
+"transform", is one call of the C encoder, and the bytes are exactly
+``json.dumps(doc) + "\n"``, as they were when the whole text was built
+first.
 
 Function expressions are sums of weighted atoms, e.g.
 "0.5*exp + poly:1,0,2" or "root:3"; atoms are exp, abs, pow:P, root:P and
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +61,35 @@ class ExpressionError(MatFrobError):
     """Function expression does not parse."""
 
 
+def _unique_keys(path, pairs: list) -> dict:
+    """object_pairs_hook for load_document: a JSON object with a repeated
+    key raises, instead of keeping the key's last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentFormatError(f"{path}: duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def load_document(path) -> dict:
-    """Read and JSON-parse a document file; failures carry line/column."""
+    """Read and JSON-parse a document file; failures carry line/column.
+
+    The file must be UTF-8 (a failure names the byte offset), and no JSON
+    object in it may repeat a key.
+    """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise DocumentFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentFormatError(
+            f"{path}: not UTF-8 text at byte offset {exc.start}: {exc.reason}"
+        ) from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -72,12 +99,35 @@ def load_document(path) -> dict:
     return doc
 
 
-def dump_document(doc: dict, path=None) -> str:
-    """Serialize a document as single-line JSON; optionally also write it."""
-    text = json.dumps(doc)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text
+def _chunks(doc: dict):
+    """json.dumps(doc) in pieces: one per top-level key, and one per item
+    of a list value, such as a row of "rows" or "transform"."""
+    sep = "{"
+    for key, value in doc.items():
+        if isinstance(key, str) and isinstance(value, list):
+            yield f"{sep}{json.dumps(key)}: ["
+            for k, item in enumerate(value):
+                yield (", " if k else "") + json.dumps(item)
+            yield "]"
+        else:
+            yield sep + json.dumps({key: value})[1:-1]
+        sep = ", "
+    yield "}" if doc else "{}"
+
+
+def dump_document(doc: dict, path=None) -> str | None:
+    """Serialize a document as single-line JSON.
+
+    Without a path the text is returned. With one, the text and a newline
+    are written to that file one chunk at a time, so no copy of the whole
+    text is held; nothing is returned.
+    """
+    if path is None:
+        return "".join(_chunks(doc))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_chunks(doc))
+        fh.write("\n")
+    return None
 
 
 def is_matrix_document(doc: dict) -> bool:

@@ -422,7 +422,8 @@ def _assemble(
     spec = factors.spec
     blocks = [func_jordan_block(table[complex(x)], n).real for x, n in spec.real_blocks]
     blocks += [func_real_jordan_block(table[z], n) for z, n in spec.complex_blocks]
-    out = factors.transform @ block_diag(blocks) @ factors.transform_inverse
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = factors.transform @ block_diag(blocks) @ factors.transform_inverse
     if not math.isfinite(norm_inf(out)):
         raise DomainError(f"f(A) overflows float64 for f = {f.describe()}")
     return out

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     DimensionMismatchError,
     MatFrobError,
+    PreconditionError,
     SingularMatrixError,
     as_real_matrix,
     eigen_decompose,
@@ -227,6 +228,7 @@ def synthesize_matrix(
     conditioning: above 1e6 a warning is issued, above 1e8 the synthesis is
     refused since the factored structure would be numerically meaningless.
     No bound depends on the scale of R: cR gives the same A for every c != 0.
+    An A with an entry beyond float64 raises PreconditionError.
     """
     r = as_real_matrix(transform)
     require_square(r)
@@ -253,7 +255,13 @@ def synthesize_matrix(
             stacklevel=2,
         )
     r_inv = np.linalg.inv(r)
-    a = r @ assemble_real_jordan(spec) @ r_inv
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = r @ assemble_real_jordan(spec) @ r_inv
+    if not np.isfinite(a).all():
+        raise PreconditionError(
+            "A = R J R^-1 overflows float64; scale the eigenvalues or the "
+            "transform down"
+        )
     return a, RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
 
 
@@ -347,6 +355,7 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
         cols.append(re)
         cols.append(im)
     r = np.column_stack(cols)
+    del v, real_cols, pair_cols, cols  # not held through the inverse
     try:
         r_inv = mat_inverse(r)
     except SingularMatrixError as exc:

@@ -621,10 +621,12 @@ def verify_preservation_theorem(
     w = np.array(factors.spec.eigenvalue_multiset())
     verdict = frobenius_check(f, factors.spec, np.max(np.abs(w)), tol)
     r = factors.transform
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = factors.reconstruct()  # an overflow is refused by _finite_norm
     a_report = _perron_report(
         w,
         lambda k, simple: r[:, k] + 1j * r[:, k + 1] if w[k].imag else r[:, k],
-        _finite_norm(factors.reconstruct()),
+        _finite_norm(a),
         tol,
     )
     if not a_report.overall:

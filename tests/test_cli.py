@@ -1,11 +1,12 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from matfrob import perron
+from matfrob import cli, documents, perron
 from matfrob.cli import main
 from matfrob.documents import dump_document, load_document, parse_matrix_document
 
@@ -240,6 +241,56 @@ class TestOverflowingInput:
         assert code == 2
         assert captured.out == ""
         assert "overflows float64" in captured.err
+
+
+class TestOverflowingSynthesis:
+    """A = R J R^-1 beyond float64 exits 2 by name, with no numpy warning."""
+
+    SPEC = {
+        "real_blocks": [{"lambda": 1.7e308}, {"lambda": -1.7e308}],
+        "transform": [[1, 1], [0, 1]],
+    }
+
+    @pytest.mark.parametrize(
+        "command",
+        [["synthesize"], ["apply", "--fn", "exp"], ["apply", "--fn", "pow:1"],
+         ["verify", "--fn", "pow:1"]],
+        ids=["synthesize", "apply-exp", "apply-pow", "verify"],
+    )
+    def test_refused_by_name(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command[0], write_spec(tmp_path, self.SPEC), *command[1:],
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "A = R J R^-1 overflows float64" in captured.err
+        assert not out.exists()
+
+
+class TestUnreadableDocuments:
+    """Text that is not UTF-8, or repeats a key, exits 2 by name."""
+
+    def test_non_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe" + '{"rows": [[1]]}'.encode("utf-16-le"))
+        code = main(["check-pf", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{path}: not UTF-8 text at byte offset 0" in captured.err
+
+    @pytest.mark.parametrize("command", [["check-pf"], ["apply", "--fn", "exp"]])
+    def test_duplicate_rows(self, tmp_path, capsys, command):
+        path = tmp_path / "dup.json"
+        path.write_text('{"rows": [[1, 2], [3, 4]], "rows": [[5]]}')
+        code = main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "duplicate key 'rows'" in captured.err
 
 
 class TestOverflowingFunction:
@@ -972,7 +1023,8 @@ def _positive_perron_spec(n):
 
 
 class TestEmission:
-    """Every document and --out report is one pass of json's C encoder."""
+    """Every document and --out report is written by json's C encoder, one
+    row at a time, with the bytes of one json.dumps call."""
 
     def test_no_command_takes_the_python_encoder(self, tmp_path, capsys, monkeypatch):
         def python_encoder(*args, **kwargs):
@@ -1001,6 +1053,72 @@ class TestEmission:
             strict_json(text)
         fa = load_document(tmp_path / "fa.json")
         assert fa["rows"] == stdout_doc["rows"]
+
+
+    ODD_NAME = "q\"uote\\back\tslash \u00e9\u2603\U0001d400"
+
+    def test_bytes_equal_one_shot_encoding(self, tmp_path, capsys, monkeypatch):
+        # every dump_document call the CLI makes, with the object it dumped
+        written = []
+
+        def recording(doc, path=None):
+            text = documents.dump_document(doc, path)
+            written.append((json.dumps(doc), path, text))
+            return text
+
+        monkeypatch.setattr(cli, "dump_document", recording)
+        extremes = [1.7976931348623157e308, 5e-324, -1.7976931348623157e308, -0.0]
+        spec = write_spec(tmp_path, {
+            "name": self.ODD_NAME,
+            "real_blocks": [{"lambda": lam} for lam in extremes],
+            "transform": np.eye(4).tolist(),
+        })
+        pf_spec = write_spec(tmp_path, dict(PF_SPEC, name=self.ODD_NAME), "pf")
+        matrix = write_matrix(tmp_path, GOLDEN, "golden")
+        argvs = [
+            ["synthesize", spec],
+            ["apply", matrix, "--fn", "exp"],
+            ["apply", pf_spec, "--fn", "pow:2"],
+            ["verify", pf_spec, "--fn", "exp"],
+            ["check-pf", matrix],
+            ["check-evpos", matrix],
+        ]
+        for k, argv in enumerate(argvs):
+            out = tmp_path / f"out{k}.json"
+            assert main([*argv, "--out", str(out)]) == 0, argv
+            capsys.readouterr()
+            assert main(argv) == 0, argv
+            stdout = capsys.readouterr().out
+            by_file = [w for w in written if w[1] == str(out)]
+            assert len(by_file) == 1, argv
+            assert out.read_bytes() == (by_file[0][0] + "\n").encode(), argv
+            if argv[0] in ("synthesize", "apply"):
+                # without --out the document is stdout
+                assert stdout == written[-1][0] + "\n" == written[-1][2] + "\n"
+            written.clear()
+        built = strict_json((tmp_path / "out0.json").read_text())
+        assert built["name"] == self.ODD_NAME
+        assert [built["rows"][i][i] for i in range(3)] == extremes[:3]
+
+    def test_apply_peak_memory(self, tmp_path, capsys):
+        # n = 200: the parsed input is dropped before the O(n^3) work and
+        # f(A) is written row by row, so the traced peak stays near a few
+        # n x n arrays
+        n = 200
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * rng.uniform(-1.0, 1.0, n)) @ q.T
+        path = write_matrix(tmp_path, a.tolist())
+        out = tmp_path / "fa.json"
+        tracemalloc.start()
+        try:
+            code = main(["apply", path, "--fn", "exp", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 12 * 8 * n * n
 
 
 class TestReportBuiltOnlyForOut:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,89 @@ class TestMatrixDocuments:
         path.write_text("[1, 2]")
         with pytest.raises(DocumentFormatError, match="object"):
             load_document(path)
+
+
+class TestLoadRefusals:
+    """Input load_document refuses by name, so commands exit 2 on it."""
+
+    def test_non_utf8_named_by_path_and_offset(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(DocumentFormatError) as exc:
+            load_document(path)
+        assert str(exc.value).startswith(f"{path}: not UTF-8 text at byte offset 0")
+
+    def test_non_utf8_offset_past_valid_prefix(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(DocumentFormatError, match="byte offset 13"):
+            load_document(path)
+
+    def test_utf8_names_read(self, tmp_path):
+        path = tmp_path / "utf8.json"
+        path.write_bytes('{"name": "caf\u00e9 \u2603", "rows": [[1]]}'.encode())
+        assert load_document(path)["name"] == "caf\u00e9 \u2603"
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"rows": [[1, 2], [3, 4]], "rows": [[5]]}', "rows"),
+            ('{"real_blocks": [{"lambda": 2, "lambda": 3}]}', "lambda"),
+            ('{"rows": [[1]], "x": {"a": {"b": 1, "b": 1}}}', "b"),
+        ],
+        ids=["top", "block", "nested"],
+    )
+    def test_duplicate_key_named(self, tmp_path, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        with pytest.raises(DocumentFormatError) as exc:
+            load_document(path)
+        assert str(exc.value) == f"{path}: duplicate key {key!r}"
+
+    def test_same_key_in_sibling_objects_allowed(self, tmp_path):
+        path = tmp_path / "blocks.json"
+        path.write_text('{"real_blocks": [{"lambda": 2}, {"lambda": 1}]}')
+        assert len(load_document(path)["real_blocks"]) == 2
+
+
+NaN = float("nan")
+# names that need escapes and non-ASCII text, the float64 extremes, and
+# keys that are not strings
+ODD_DOCUMENTS = [
+    {},
+    {"name": "q\"uote\\back\tslash\n\u00e9\u2603\U0001d400", "rows": [[1.0]]},
+    {"rows": [[-0.0, 5e-324, -5e-324], [1.7976931348623157e308,
+                                         -1.7976931348623157e308, 0.1 + 0.2]]},
+    {"name": "s", "real_blocks": [{"lambda": 2.0, "size": 1}],
+     "complex_blocks": [{"re": -0.0, "im": 5e-324}], "transform": [[1, 0], [0, 1]]},
+    {"rows": [], "empty_rows": [[]], "mixed": [[1], 2], "deep": [[[1.5]], [[2]]]},
+    {"report": {"rho": 2.0, "margin": None, "ok": True, "list": [1, "a"]}},
+    {1: [[1.0]], None: "x", 2.5: [1], False: {"a": [None, NaN]}, "t": (1, [2])},
+]
+
+
+class TestDumpDocument:
+    """dump_document writes row by row; its bytes are json.dumps's."""
+
+    @pytest.mark.parametrize("doc", ODD_DOCUMENTS)
+    def test_bytes_equal_one_shot_encoding(self, tmp_path, doc):
+        path = tmp_path / "d.json"
+        assert dump_document(doc, path) is None
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+        assert dump_document(doc) == json.dumps(doc)
+
+    def test_peak_memory_is_a_row_not_the_text(self, tmp_path):
+        a = np.random.default_rng(5).standard_normal((300, 300))
+        doc = matrix_document("big", a)
+        size = len(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            dump_document(doc, tmp_path / "big.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.json").stat().st_size == size + 1
+        assert peak < 0.05 * size
 
 
 class TestSpecDocuments:

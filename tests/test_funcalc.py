@@ -31,7 +31,7 @@ from matfrob.funcalc import (
     func_jordan_block,
     func_real_jordan_block,
 )
-from matfrob.jordan import block_diag, jordan_block
+from matfrob.jordan import RealJordanFactors, block_diag, jordan_block
 from matfrob.sampling import random_orthogonal, random_pf_factors
 
 from helpers import (
@@ -586,6 +586,17 @@ class TestOverflow:
         _, factors = synthesize_matrix(spec, np.array([[1.0, 1.0], [1.0, -1.0]]))
         with pytest.raises(DomainError, match="f\\(A\\) overflows float64"):
             matrix_function(factors, Polynomial((1.0, 1e308, 1e308)))
+
+    def test_overflowing_product_refused_without_a_warning(self):
+        # f(J) = J is finite, R f(J) R^-1 is not; the overflow is named by
+        # the finiteness check, not by a numpy RuntimeWarning
+        factors = RealJordanFactors(
+            JordanSpec(real_blocks=((1.7e308, 1), (-1.7e308, 1))),
+            np.array([[1.0, 1.0], [0.0, 1.0]]),
+            np.array([[1.0, -1.0], [0.0, 1.0]]),
+        )
+        with pytest.raises(DomainError, match="f\\(A\\) overflows float64"):
+            matrix_function(factors, Monomial(1))
 
     def test_overflowing_row_sum_of_matrix_function_refused(self):
         # finite entries near 1.3e308 whose row sum overflows

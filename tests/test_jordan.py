@@ -9,6 +9,7 @@ from matfrob import (
     IllConditionedError,
     IllConditionedWarning,
     JordanSpec,
+    PreconditionError,
     SingularMatrixError,
     extract_diagonalizable_structure,
     synthesize_matrix,
@@ -181,6 +182,13 @@ class TestSynthesize:
         spec = JordanSpec(real_blocks=((2.0, 1), (-1.0, 1)))
         with pytest.raises(SingularMatrixError, match="singular in float64"):
             synthesize_matrix(spec, 1e-310 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+    def test_overflowing_matrix_refused(self):
+        # R and J are finite, and so is the first product; A[0, 1] is
+        # -1.7e308 - 1.7e308
+        spec = JordanSpec(real_blocks=((1.7e308, 1), (-1.7e308, 1)))
+        with pytest.raises(PreconditionError, match=r"A = R J R\^-1 overflows float64"):
+            synthesize_matrix(spec, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_hard_condition_limit(self):
         spec = JordanSpec(real_blocks=((2.0, 2),))

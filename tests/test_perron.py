@@ -513,6 +513,16 @@ class TestPreservationTheorem:
         with pytest.raises(PreconditionError):
             verify_preservation_theorem(factors, Exp())
 
+    def test_overflowing_factored_matrix_rejected(self):
+        # verify reads A's norm off R J R^-1, which overflows here
+        factors = RealJordanFactors(
+            JordanSpec(real_blocks=((1.7e308, 1), (-1.7e308, 1))),
+            np.array([[1.0, 1.0], [0.0, 1.0]]),
+            np.array([[1.0, -1.0], [0.0, 1.0]]),
+        )
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            verify_preservation_theorem(factors, Monomial(1))
+
     def test_serialization(self):
         d = verify_preservation_theorem(golden_factors(), Exp()).to_dict()
         assert d["theorem_consistent"] is True
