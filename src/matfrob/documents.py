@@ -78,7 +78,8 @@ def load_document(path) -> dict:
     """Read and JSON-parse a document file; failures carry line/column.
 
     The file must be UTF-8 (a failure names the byte offset), and no JSON
-    object in it may repeat a key.
+    object in it may repeat a key. An integer literal beyond Python's digit
+    limit and nesting beyond its recursion limit are format errors too.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8")
@@ -94,6 +95,8 @@ def load_document(path) -> dict:
         raise DocumentFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # int digit limit, nesting depth
+        raise DocumentFormatError(f"{path}: {str(exc).partition(';')[0]}") from exc
     if not isinstance(doc, dict):
         raise DocumentFormatError(f"{path}: top level must be a JSON object")
     return doc

@@ -9,14 +9,14 @@ evaluation needs f^(j)(lambda) / j! up to the block size, and numerical
 differentiation cannot deliver those orders at the accuracy the
 reconstruction demands.
 
-The value of f on a matrix in factored form A = R J R^{-1} is assembled
-blockwise from one table of f^(j)(lambda) on the spectrum: an upper
-triangular Toeplitz block per real Jordan block, and a rotation-block
-Toeplitz per conjugate pair. The table's rows come from one walk of the
-spectrum, defined_on_spectrum, which refuses an f the structure cannot
-use. A real result needs f^(j)(conj lambda) = conj f^(j)(lambda); one
-test on the table decides it, run once per table: by matrix_function
-here, or by perron.frobenius_check, whose failures then form f(A).
+The value of f on a matrix in factored form A = R J R^{-1} is
+R f(J) R^{-1}. jordan's block builders (re-exported here; J is f(J) at
+f(z) = z) lay f(J) out from one table of f^(j)(lambda) on the spectrum,
+whose rows come from one walk of it, defined_on_spectrum, which refuses
+an f the structure cannot use. A real result needs f^(j)(conj lambda) =
+conj f^(j)(lambda); one test on the table decides it, run once per table:
+by matrix_function here, or by perron.frobenius_check, whose failures
+then form f(A).
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, MatFrobError, Tolerance, as_real_matrix, norm_inf, require_square
-from .jordan import JordanSpec, RealJordanFactors, block_diag, rotation_block
+from .jordan import (
+    JordanSpec,
+    RealJordanFactors,
+    _assemble_blocks,
+    func_jordan_block,
+    func_real_jordan_block,
+)
 
 __all__ = [
     "DomainError",
@@ -371,38 +377,6 @@ def _conjugate_defects(table: dict[complex, list], tol: Tolerance):
                 yield lam, j, abs(table[lam.conjugate()][j] - row[j].conjugate()), limit
 
 
-def func_jordan_block(row, size: int) -> np.ndarray:
-    """f applied to a Jordan block of the given size, from row[k] = f^(k)(lam).
-
-    Upper triangular Toeplitz: entry (i, i+k) equals row[k] / k!.
-    """
-    if size < 1:
-        raise ValueError(f"block size must be at least 1, got {size}")
-    m = np.zeros((size, size), dtype=complex)
-    for k in range(size):
-        idx = np.arange(size - k)
-        m[idx, idx + k] = row[k] / math.factorial(k)
-    return m
-
-
-def func_real_jordan_block(row, size: int) -> np.ndarray:
-    """f applied to the real block of the pair (lam, conj lam), from f^(k)(lam).
-
-    Block upper triangular Toeplitz with rotation_block(row[k] / k!), where
-    row[k] = f^(k)(lam), on the k-th block superdiagonal. This is f's value
-    only when f^(k)(conj lam) = conj f^(k)(lam), which the caller tests on
-    the table.
-    """
-    if size < 1:
-        raise ValueError(f"block size must be at least 1, got {size}")
-    m = np.zeros((2 * size, 2 * size))
-    for j in range(size):
-        rb = rotation_block(row[j] / math.factorial(j))
-        for i in range(size - j):
-            m[2 * i : 2 * i + 2, 2 * (i + j) : 2 * (i + j) + 2] = rb
-    return m
-
-
 def _assemble(
     factors: RealJordanFactors, f: SpectralFunction, table: dict, failed: list
 ) -> np.ndarray:
@@ -419,11 +393,9 @@ def _assemble(
         raise NonRealResultError(
             f"{message}; {f.describe()} is not real-valued on this spectrum"
         )
-    spec = factors.spec
-    blocks = [func_jordan_block(table[complex(x)], n).real for x, n in spec.real_blocks]
-    blocks += [func_real_jordan_block(table[z], n) for z, n in spec.complex_blocks]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = factors.transform @ block_diag(blocks) @ factors.transform_inverse
+        fj = _assemble_blocks(factors.spec, lambda lam: table[complex(lam)])
+        out = factors.transform @ fj @ factors.transform_inverse
     if not math.isfinite(norm_inf(out)):
         raise DomainError(f"f(A) overflows float64 for f = {f.describe()}")
     return out

@@ -5,10 +5,14 @@ is block diagonal with real Jordan blocks for real eigenvalues and, for each
 conjugate eigenvalue pair, a block built from 2x2 rotation-scaling blocks.
 Keeping the factors explicit is what lets the function calculus act per
 block instead of re-deriving structure from raw entries.
+
+J and f(J) come from the same block builders, J being f(J) at f(z) = z;
+RealJordanFactors.reconstruct alone forms A = R J R^{-1}.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,8 +40,9 @@ __all__ = [
     "RealJordanFactors",
     "jordan_block",
     "rotation_block",
-    "real_jordan_block",
     "block_diag",
+    "func_jordan_block",
+    "func_real_jordan_block",
     "assemble_real_jordan",
     "synthesize_matrix",
     "extract_diagonalizable_structure",
@@ -135,27 +140,10 @@ def jordan_block(lam: complex, size: int) -> np.ndarray:
 
 
 def rotation_block(lam: complex) -> np.ndarray:
-    """2x2 real block [[Re, Im], [-Im, Re]] acting as multiplication by lam."""
+    """2x2 real block [[Re, Im], [-Im, Re]] acting as multiplication by lam;
+    -Im is 0.0 - Im, so a real lam gives lam times the identity exactly."""
     lam = complex(lam)
-    return np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
-
-
-def real_jordan_block(lam: complex, size: int) -> np.ndarray:
-    """2*size square real block for the conjugate pair (lam, conj lam).
-
-    Rotation blocks of lam sit on the 2x2 block diagonal with identity
-    blocks directly above them, the real analogue of a Jordan block.
-    """
-    if size < 1:
-        raise ValueError(f"block size must be at least 1, got {size}")
-    lam = complex(lam)
-    m = np.zeros((2 * size, 2 * size))
-    rb = rotation_block(lam)
-    for i in range(size):
-        m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rb
-        if i + 1 < size:
-            m[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = np.eye(2)
-    return m
+    return np.array([[lam.real, lam.imag], [0.0 - lam.imag, lam.real]])
 
 
 def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -173,14 +161,55 @@ def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def assemble_real_jordan(spec: JordanSpec) -> np.ndarray:
-    """Block diagonal real matrix realizing the spec, in spec order."""
-    blocks: list[np.ndarray] = []
-    for lam, n in spec.real_blocks:
-        blocks.append(jordan_block(lam, n).real)
-    for lam, n in spec.complex_blocks:
-        blocks.append(real_jordan_block(lam, n))
+def _taylor_coefficient(row, k: int) -> complex:
+    """row[k] / k! part by part: complex division loses a -0.0 part's sign."""
+    z, d = complex(row[k]), math.factorial(k)
+    return complex(z.real / d, z.imag / d)
+
+
+def func_jordan_block(row, size: int) -> np.ndarray:
+    """f applied to a Jordan block of the given size, from row[k] = f^(k)(lam).
+
+    Upper triangular Toeplitz: entry (i, i+k) equals row[k] / k!, or 0 past the row.
+    """
+    if size < 1:
+        raise ValueError(f"block size must be at least 1, got {size}")
+    m = np.zeros((size, size), dtype=complex)
+    for k in range(min(size, len(row))):
+        idx = np.arange(size - k)
+        m[idx, idx + k] = _taylor_coefficient(row, k)
+    return m
+
+
+def func_real_jordan_block(row, size: int) -> np.ndarray:
+    """f applied to the real block of the pair (lam, conj lam), from f^(k)(lam).
+
+    Block upper triangular Toeplitz with rotation_block(row[k] / k!), where
+    row[k] = f^(k)(lam), on the k-th block superdiagonal. This is f's value
+    only when f^(k)(conj lam) = conj f^(k)(lam), which the caller tests on
+    the table. Block diagonals past the row's end are zero.
+    """
+    if size < 1:
+        raise ValueError(f"block size must be at least 1, got {size}")
+    m = np.zeros((2 * size, 2 * size))
+    for j in range(min(size, len(row))):
+        rb = rotation_block(_taylor_coefficient(row, j))
+        for i in range(size - j):
+            m[2 * i : 2 * i + 2, 2 * (i + j) : 2 * (i + j) + 2] = rb
+    return m
+
+
+def _assemble_blocks(spec: JordanSpec, row) -> np.ndarray:
+    """f(J) in spec order, from row(lam) = (f(lam), f'(lam), ...); a pair
+    block reads its representative's row."""
+    blocks = [func_jordan_block(row(lam), n).real for lam, n in spec.real_blocks]
+    blocks += [func_real_jordan_block(row(lam), n) for lam, n in spec.complex_blocks]
     return block_diag(blocks)
+
+
+def assemble_real_jordan(spec: JordanSpec) -> np.ndarray:
+    """J in spec order: f(J) at f(z) = z, from the rows (lam, 1)."""
+    return _assemble_blocks(spec, lambda lam: (lam, 1.0))
 
 
 @dataclass(frozen=True)
@@ -255,14 +284,15 @@ def synthesize_matrix(
             stacklevel=2,
         )
     r_inv = np.linalg.inv(r)
+    factors = RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = r @ assemble_real_jordan(spec) @ r_inv
+        a = factors.reconstruct()
     if not np.isfinite(a).all():
         raise PreconditionError(
             "A = R J R^-1 overflows float64; scale the eigenvalues or the "
             "transform down"
         )
-    return a, RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
+    return a, factors
 
 
 def _cluster_indices(w: np.ndarray, radius: float) -> list[list[int]]:

@@ -312,24 +312,18 @@ def eventually_positive_check(
     """Eventual positivity via the two-sided strong Perron-Frobenius test.
 
     A is eventually positive iff A and A^T are both strong
-    Perron-Frobenius. A^T has A's spectrum, so A's eigenvalues alone serve
-    both sides. The matrix side finds rho's right vector x as
-    strong_pf_check does; the transpose side finds the left vector from a
-    second solve, on A^T bordered with x, and keeps its own cluster radius,
-    1e-6 * ||A^T||_inf. Where a side's rho is not simple or its solve fails
-    (see _perron_vector), that side's matrix is fully decomposed.
+    Perron-Frobenius. The matrix side is strong_pf_check on A, with rho's
+    right vector x. A^T has A's spectrum, so the transpose side reuses that
+    report's eigenvalues and finds the left vector from a second solve, on
+    A^T bordered with x; it keeps its own cluster radius, 1e-6 * ||A^T||_inf.
+    Where a side's rho is not simple or its solve fails (see _perron_vector),
+    that side's matrix is fully decomposed.
     """
     m = as_real_matrix(a)
     require_square(m)
-    scale, scale_t = _finite_norm(m), _finite_norm(m.T)
-    w = _eigenvalues(m)
-    ones = np.ones(len(w))
-    r1 = _perron_report(
-        w,
-        lambda i, simple: _perron_vector(m, w[i].real, ones if simple else None),
-        scale,
-        tol,
-    )
+    scale_t = _finite_norm(m.T)
+    r1 = strong_pf_check(m, tol)
+    w = np.array(r1.spectrum)
     r2 = _perron_report(
         w,
         lambda i, simple: _perron_vector(m.T, w[i].real, r1.eigvec if simple else None),

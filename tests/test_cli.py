@@ -292,6 +292,31 @@ class TestUnreadableDocuments:
         assert captured.out == ""
         assert "duplicate key 'rows'" in captured.err
 
+    @pytest.mark.parametrize("command", [["check-pf"], ["verify", "--fn", "exp"]])
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys, command):
+        path = tmp_path / "long.json"
+        path.write_text('{"rows": [[' + "1" * 5000 + "]]}")
+        code = main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: Exceeds the limit (4300 digits) for integer "
+            "string conversion: value has 5000 digits\n"
+        )
+
+    @pytest.mark.parametrize("command", [["check-pf"], ["verify", "--fn", "exp"]])
+    def test_nesting_beyond_the_recursion_limit(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code = main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {path}: maximum recursion depth exceeded while decoding"
+        )
+
 
 class TestOverflowingFunction:
     """f values beyond float64 exit 2 with a message, never a traceback."""
@@ -784,6 +809,17 @@ class TestSynthesize:
             _, a = parse_matrix_document(load_document(out))
             np.testing.assert_allclose(a, [[0.5, 1.5], [1.5, 0.5]], rtol=1e-14)
 
+    @pytest.mark.parametrize("blocks", [
+        {"real_blocks": [{"lambda": 1.0, "size": 172}]},
+        {"complex_blocks": [{"re": 0.5, "im": 1.0, "size": 172}]},
+    ])
+    def test_block_past_171_factorial(self, tmp_path, capsys, blocks):
+        out = tmp_path / "out.json"
+        code = main(["synthesize", write_spec(tmp_path, blocks), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        _, a = parse_matrix_document(load_document(out))
+        assert np.isfinite(a).all()
+
     def test_rejects_lower_half_representative(self, tmp_path, capsys):
         spec = {"complex_blocks": [{"re": 1.0, "im": -2.0, "size": 1}]}
         code = main(["synthesize", write_spec(tmp_path, spec)])
@@ -937,6 +973,18 @@ class TestEigendecompositionCounts:
 
     def test_check_evpos_decomposes_once(self, tmp_path, capsys, counted):
         assert main(["check-evpos", write_matrix(tmp_path, GOLDEN)]) == 0
+        assert counted == {"eig": [], "eigvals": [(2, 2)]}
+
+    def test_check_evpos_reads_one_spectrum_and_solves_twice(
+        self, tmp_path, capsys, monkeypatch, counted
+    ):
+        # the matrix side is strong_pf_check; the transpose side reuses its
+        # eigenvalues, and its vector as the border of the second solve
+        checks = count_calls(monkeypatch, "strong_pf_check", perron)
+        spectra = count_calls(monkeypatch, "_eigenvalues", perron)
+        solves = count_calls(monkeypatch, "solve", np.linalg)
+        assert main(["check-evpos", write_matrix(tmp_path, GOLDEN)]) == 0
+        assert (len(checks), len(spectra), len(solves)) == (1, 1, 2)
         assert counted == {"eig": [], "eigvals": [(2, 2)]}
 
     def test_check_pf_decomposes_once(self, tmp_path, capsys, counted):

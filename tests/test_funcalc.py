@@ -499,13 +499,15 @@ class TestRealAssembly:
 
     @pytest.fixture
     def products(self, monkeypatch):
-        import matfrob.funcalc
+        """Records the products of every J and f(J) jordan lays out; a test
+        clears it after synthesis, so it holds matrix_function's alone."""
+        import matfrob.jordan
 
         def recording_block_diag(blocks):
             return block_diag(blocks).view(MatmulRecorder)
 
         MatmulRecorder.dtypes = []
-        monkeypatch.setattr(matfrob.funcalc, "block_diag", recording_block_diag)
+        monkeypatch.setattr(matfrob.jordan, "block_diag", recording_block_diag)
         return MatmulRecorder.dtypes
 
     @pytest.mark.parametrize("f", [Exp(), Monomial(3), PrincipalRoot(3)])
@@ -515,6 +517,7 @@ class TestRealAssembly:
         )
         r = random_orthogonal(np.random.default_rng(5), 7)
         _, factors = synthesize_matrix(spec, r)
+        products.clear()
         fa = matrix_function(factors, f)
         assert type(fa) is np.ndarray and fa.dtype == np.float64
         assert fa.flags.c_contiguous
@@ -524,6 +527,7 @@ class TestRealAssembly:
         # the table test refuses it before any product is formed
         spec = JordanSpec(real_blocks=((2.0, 1), (-1.0, 1)))
         _, factors = synthesize_matrix(spec, np.eye(2))
+        products.clear()
         with pytest.raises(NonRealResultError):
             matrix_function(factors, PrincipalRoot(3))
         assert products == []

@@ -9,9 +9,11 @@ from matfrob import (
     IllConditionedError,
     IllConditionedWarning,
     JordanSpec,
+    Monomial,
     PreconditionError,
     SingularMatrixError,
     extract_diagonalizable_structure,
+    matrix_function,
     synthesize_matrix,
 )
 from matfrob.core import eigen_decompose
@@ -21,7 +23,6 @@ from matfrob.jordan import (
     assemble_real_jordan,
     block_diag,
     jordan_block,
-    real_jordan_block,
     rotation_block,
 )
 from matfrob.sampling import random_orthogonal, random_pf_spec
@@ -29,6 +30,47 @@ from matfrob.sampling import random_orthogonal, random_pf_spec
 from helpers import assert_multiset_close, count_svd_calls
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
+
+
+def real_jordan_block(lam, size):
+    """J of the spec with one pair block: the pair's real Jordan block."""
+    return assemble_real_jordan(JordanSpec(complex_blocks=((lam, size),)))
+
+
+def reference_real_jordan(spec):
+    """J entry by entry from the definition of the real Jordan form: lam on
+    the diagonal and 1 above it in a real block; [[Re, Im], [-Im, Re]] on the
+    2x2 diagonal and the 2x2 identity above it in a pair block."""
+    n = spec.total_dimension
+    j = np.zeros((n, n))
+    at = 0
+    for lam, size in spec.real_blocks:
+        for i in range(at, at + size):
+            j[i, i] = lam
+            if i + 1 < at + size:
+                j[i, i + 1] = 1.0
+        at += size
+    for lam, size in spec.complex_blocks:
+        for i in range(at, at + 2 * size, 2):
+            j[i, i] = j[i + 1, i + 1] = lam.real
+            j[i, i + 1] = lam.imag
+            j[i + 1, i] = -lam.imag
+            if i + 2 < at + 2 * size:
+                j[i, i + 2] = j[i + 1, i + 3] = 1.0
+        at += 2 * size
+    return j
+
+
+# repeated eigenvalues, and both signs of zero, come from the pool
+REALS = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-3, 3)
+PAIRS = st.builds(
+    complex, st.sampled_from([0.0, -0.0, 0.5]) | st.floats(-3, 3),
+    st.sampled_from([1.0, 2.0]) | st.floats(0.1, 3),
+)
+SPECS = st.tuples(
+    st.lists(st.tuples(REALS, st.integers(1, 4)), max_size=3),
+    st.lists(st.tuples(PAIRS, st.integers(1, 4)), max_size=3),
+).filter(any).map(lambda blocks: JordanSpec(*map(tuple, blocks)))
 
 
 class TestBuilders:
@@ -84,6 +126,47 @@ class TestBuilders:
         c2 = np.poly(pair)
         scale = max(1.0, np.max(np.abs(c2)))
         assert np.max(np.abs(c1 - c2)) <= 1e-9 * scale
+
+
+class TestOneBuilder:
+    """J is laid out by the builder that lays out f(J), at f(z) = z."""
+
+    @given(spec=SPECS)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_j_matches_the_definition_bit_for_bit(self, spec):
+        got = assemble_real_jordan(spec)
+        expected = reference_real_jordan(spec)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @given(spec=SPECS, seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_identity_function_is_the_reconstruction_bit_for_bit(self, spec, seed):
+        r = random_orthogonal(np.random.default_rng(seed), spec.total_dimension)
+        a, factors = synthesize_matrix(spec, r)
+        got = matrix_function(factors, Monomial(1))
+        assert np.array_equal(a, factors.reconstruct())
+        assert np.array_equal(got, a)
+        assert np.array_equal(np.signbit(got), np.signbit(a))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            JordanSpec(real_blocks=((1.0, 172),)),
+            JordanSpec(real_blocks=((-0.0, 200), (2.0, 1))),
+            JordanSpec(complex_blocks=((0.5 + 1.0j, 172),)),
+        ],
+    )
+    def test_blocks_past_171_factorial_build_bit_for_bit(self, spec):
+        # 171! is beyond float64, so J's builders must stop at the row's end
+        expected = reference_real_jordan(spec)
+        got = assemble_real_jordan(spec)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        r = random_orthogonal(np.random.default_rng(1), spec.total_dimension)
+        a, factors = synthesize_matrix(spec, r)
+        assert np.array_equal(a, r @ expected @ factors.transform_inverse)
 
 
 class TestJordanSpec:

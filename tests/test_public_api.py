@@ -54,10 +54,9 @@ SUBMODULE_ONLY = {
     "condition_estimate": "core",
     "jordan_block": "jordan",
     "rotation_block": "jordan",
-    "real_jordan_block": "jordan",
     "assemble_real_jordan": "jordan",
-    "func_jordan_block": "funcalc",
-    "func_real_jordan_block": "funcalc",
+    "func_jordan_block": "jordan",
+    "func_real_jordan_block": "jordan",
     "defined_on_spectrum": "funcalc",
     "PerronReport": "perron",
     "EventualPositivityReport": "perron",
@@ -88,6 +87,11 @@ def test_submodule_names_are_not_exported():
         assert not hasattr(matfrob, name), name
         assert hasattr(importlib.import_module(f"matfrob.{module}"), name), name
     assert not hasattr(matfrob, "derivative_reality_check")
+    # J is f(J) at f(z) = z, laid out by the same block builders
+    from matfrob import jordan
+
+    assert not hasattr(jordan, "real_jordan_block")
+    assert len(jordan.__all__) == 13
     # conjugate symmetry is one test on f's table, inside funcalc
     from matfrob import funcalc
 

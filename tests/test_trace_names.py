@@ -7,6 +7,7 @@ so would a refactor that stops calling it.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,30 @@ def test_traced_name_resolves(layer, name):
     for part in name.split("."):
         target = getattr(target, part)
     assert callable(target), f"{layer}.{name}"
+
+
+@pytest.mark.parametrize(
+    "layer, name",
+    [
+        (layer, name)
+        for layer, names in _layertrace().LAYERS.items()
+        if layer != "lapack"
+        for name in names
+        if "." not in name
+    ],
+)
+def test_traced_name_is_one_object_in_every_module(layer, name):
+    # the tracer wraps each module attribute that *is* the listed function,
+    # so a module holding its own copy under the name would go untraced;
+    # funcalc.func_jordan_block is jordan's, for one
+    original = getattr(importlib.import_module(f"matfrob.{layer}"), name)
+    holders = [
+        module for key, module in sys.modules.items()
+        if (key == "matfrob" or key.startswith("matfrob.")) and hasattr(module, name)
+    ]
+    assert holders
+    for module in holders:
+        assert getattr(module, name) is original, (module.__name__, name)
 
 
 def test_every_traced_name_is_called(tmp_path, capsys):
