@@ -25,7 +25,6 @@ from .core import (
     PreconditionError,
     Tolerance,
     condition_estimate,
-    norm_inf,
 )
 from .documents import (
     dump_document,
@@ -37,15 +36,7 @@ from .documents import (
     parse_matrix_document,
     parse_spec_document,
 )
-from .funcalc import (
-    Exp,
-    Monomial,
-    NotDefinedOnSpectrumError,
-    Polynomial,
-    ScaledSum,
-    matrix_function,
-    taylor_oracle,
-)
+from .funcalc import NotDefinedOnSpectrumError, matrix_function, taylor_oracle
 from .jordan import extract_diagonalizable_structure, synthesize_matrix
 from .perron import (
     eventually_positive_check,
@@ -59,7 +50,6 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_ERROR = 2
 
-ORACLE_TERMS = 80
 ORACLE_LIMIT = 1e-6
 
 
@@ -130,30 +120,6 @@ def _load_as_factors(args, needs: str | None = None):
         transform = random_orthogonal(rng, spec.total_dimension)
     a, factors = synthesize_matrix(spec, transform)
     return name, a, factors
-
-
-def _oracle(a, f) -> np.ndarray:
-    """f(A) from power series alone, atom by atom; never the Jordan form.
-
-    A sum is the weighted sum of its atoms' oracles. exp scales and
-    squares: the series at A / 2^s, with ||A||_inf / 2^s <= 1/2, squared s
-    times. pow and poly take their degree + 1 terms, which is exact. Any
-    other atom gets ORACLE_TERMS terms; one without taylor_coefficients
-    (root, abs) raises NotEntireError.
-    """
-    if isinstance(f, ScaledSum):
-        return sum(w * _oracle(a, g) for w, g in f.terms)
-    if isinstance(f, Exp):
-        s = max(0, math.frexp(norm_inf(a))[1] + 1)
-        out = taylor_oracle(np.ldexp(a, -s), f, ORACLE_TERMS)
-        for _ in range(s):
-            out = out @ out
-        return out
-    if isinstance(f, Monomial):
-        return taylor_oracle(a, f, f.power + 1)
-    if isinstance(f, Polynomial):
-        return taylor_oracle(a, f, len(f.coeffs))
-    return taylor_oracle(a, f, ORACLE_TERMS)
 
 
 def cmd_check_pf(args) -> int:
@@ -242,7 +208,7 @@ def cmd_apply(args) -> int:
     _emit_document(args, matrix_document(f"{args.fn}({name})", fa))
     if args.oracle:
         with np.errstate(over="ignore", invalid="ignore"):
-            oracle = _oracle(a, f)
+            oracle = taylor_oracle(a, f)
         if not np.isfinite(oracle).all():
             raise MatFrobError(
                 "the oracle's power series overflowed float64, so the oracle "

@@ -55,11 +55,13 @@ class PreconditionError(MatFrobError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative comparison tolerance.
+    """Relative tolerance; every check multiplies rel_eps by a scale of its input.
 
-    Scalars a, b are tolerance-equal iff
-    ``|a - b| <= rel_eps * max(|a|, |b|)``.
-    The predicate is symmetric in its arguments by construction.
+    The Perron checks multiply it by ||A||_inf, and test the Perron vector,
+    scaled to largest entry 1, against rel_eps itself. The conjugate-symmetry
+    test on f's table multiplies it by the largest |f^(j)| on the spectrum
+    at each order j; the scalar conditions by the largest |f| on the
+    spectrum and at rho, and rho by 1 - rel_eps for the circle inside it.
     """
 
     rel_eps: float = 1e-9
@@ -67,12 +69,6 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rel_eps < float("inf"):
             raise ValueError(f"rel_eps must be finite and >= 0, got {self.rel_eps}")
-
-    def eq(self, a: complex, b: complex) -> bool:
-        """Tolerance-equality of two scalars (real or complex)."""
-        a = complex(a)
-        b = complex(b)
-        return abs(a - b) <= self.rel_eps * max(abs(a), abs(b))
 
 
 DEFAULT_TOL = Tolerance()

@@ -17,6 +17,9 @@ an f the structure cannot use. A real result needs f^(j)(conj lambda) =
 conj f^(j)(lambda); one test on the table decides it, run once per table:
 by matrix_function here, or by perron.frobenius_check, whose failures
 then form f(A).
+
+taylor_oracle, the one f(A) oracle, uses only power series and matrix
+products, so it cross-checks matrix_function for entire f.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
     "matrix_function",
     "taylor_oracle",
 ]
+
+ORACLE_TERMS = 80
 
 
 class DomainError(MatFrobError):
@@ -420,20 +425,34 @@ def matrix_function(
     return _assemble(factors, f, table, failed)
 
 
-def taylor_oracle(a, f: SpectralFunction, terms: int) -> np.ndarray:
-    """Truncated power series sum_{k<terms} c_k A^k, evaluated by Horner.
+def taylor_oracle(a, f: SpectralFunction) -> np.ndarray:
+    """f(A) from power series and matrix products alone; never the Jordan form.
 
-    Independent of the Jordan route on purpose: it only needs matrix
-    products, so it cross-checks matrix_function for entire f. A node
-    without taylor_coefficients raises NotEntireError.
+    Each series is summed by Horner. A ScaledSum is the weighted sum of its
+    terms' oracles. Exp scales and squares (Higham, Functions of Matrices,
+    2008, sec. 10.3): the ORACLE_TERMS-term series at A / 2^s, with
+    ||A||_inf / 2^s <= 1/2, squared s times. Monomial and Polynomial take
+    their degree + 1 terms, which is exact; any other node takes
+    ORACLE_TERMS. A node without taylor_coefficients (root, abs) raises
+    NotEntireError.
     """
-    if terms < 1:
-        raise ValueError(f"need at least one term, got {terms}")
     m = as_real_matrix(a)
     require_square(m)
+    if isinstance(f, ScaledSum):
+        return sum(w * taylor_oracle(m, g) for w, g in f.terms)
+    terms, squarings = ORACLE_TERMS, 0
+    if isinstance(f, Exp):
+        squarings = max(0, math.frexp(norm_inf(m))[1] + 1)
+        m = np.ldexp(m, -squarings)
+    elif isinstance(f, Monomial):
+        terms = f.power + 1
+    elif isinstance(f, Polynomial):
+        terms = len(f.coeffs)
     coeffs = np.asarray(f.taylor_coefficients(terms), dtype=float)
     eye = np.eye(m.shape[0])
     out = coeffs[-1] * eye
     for c in coeffs[-2::-1]:
         out = m @ out + c * eye
+    for _ in range(squarings):
+        out = out @ out
     return out

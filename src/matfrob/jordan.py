@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -162,9 +163,16 @@ def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _taylor_coefficient(row, k: int) -> complex:
-    """row[k] / k! part by part: complex division loses a -0.0 part's sign."""
+    """row[k] / k! part by part: complex division loses a -0.0 part's sign.
+    Past 170!, beyond float64, a finite part is the exact quotient rounded
+    once (possibly subnormal or zero); inf and nan stay as they are."""
     z, d = complex(row[k]), math.factorial(k)
-    return complex(z.real / d, z.imag / d)
+    if k <= 170:
+        return complex(z.real / d, z.imag / d)
+    return complex(*(
+        math.copysign(float(Fraction(x) / d), x) if math.isfinite(x) else x
+        for x in (z.real, z.imag)
+    ))
 
 
 def func_jordan_block(row, size: int) -> np.ndarray:

@@ -483,22 +483,23 @@ class FrobeniusVerdict:
 
 
 def frobenius_check(
-    f: SpectralFunction, spec: JordanSpec, rho: float, tol: Tolerance = DEFAULT_TOL
+    f: SpectralFunction, spec: JordanSpec, tol: Tolerance = DEFAULT_TOL
 ) -> FrobeniusVerdict:
     """Test the scalar preservation conditions on f's table on spec.
 
     The table holds f^(j)(lam) for each distinct eigenvalue lam, conjugate
     partners included, and each j below lam's index; f without a value or
-    derivative the structure needs raises NotDefinedOnSpectrumError. Checks:
-    conj f^(j)(lam) == f^(j)(conj lam), by the test matrix_function applies;
-    |f(lam)| < f(rho) for lam strictly inside the circle of radius rho, that
-    is |lam| < rho * (1 - tol.rel_eps); and f(rho) a positive real, read
-    from the table when rho is an eigenvalue. The last two are measured
-    against ``tol.rel_eps * max(|f(rho)|, max |f(lam)|)``, so no threshold
-    depends on the absolute size of f or of rho.
+    derivative the structure needs raises NotDefinedOnSpectrumError. rho is
+    the spec's spectral radius, max |lam|. Checks: conj f^(j)(lam) ==
+    f^(j)(conj lam), by the test matrix_function applies; |f(lam)| < f(rho)
+    for lam strictly inside the circle of radius rho, that is
+    |lam| < rho * (1 - tol.rel_eps); and f(rho) a positive real, read from
+    the table when rho is an eigenvalue. The last two are measured against
+    ``tol.rel_eps * max(|f(rho)|, max |f(lam)|)``, so no threshold depends
+    on the absolute size of f or of rho.
     """
     table = _spectral_table(f, spec)
-    rho = float(rho)
+    rho = max(map(abs, table))
     notes: list[str] = []
     z_rho = complex(rho)
     f_rho = table[z_rho][0] if z_rho in table else None
@@ -597,13 +598,13 @@ def verify_preservation_theorem(
 ) -> PreservationResult:
     """Compare the scalar verdict with the matrix-level outcome on f(A).
 
-    frobenius_check comes first, at A's spectral radius, so an f undefined
-    on the spectrum raises NotDefinedOnSpectrumError whatever A is. A's
-    report is read off its factors, with no eigendecomposition: the spectrum
-    is the spec's exact eigenvalue multiset, listed block by block in the
-    transform's column order, so the first slot k of the block nearest rho
-    indexes its eigenvector, R[:, k], or R[:, k] + i R[:, k+1] at a non-real
-    eigenvalue. Only f(A) is decomposed.
+    frobenius_check comes first, so an f undefined on the spectrum raises
+    NotDefinedOnSpectrumError whatever A is. A's report is read off its
+    factors, with no eigendecomposition: the spectrum is the spec's exact
+    eigenvalue multiset, listed block by block in the transform's column
+    order, so the first slot k of the block nearest rho indexes its
+    eigenvector, R[:, k], or R[:, k] + i R[:, k+1] at a non-real eigenvalue.
+    Only f(A) is decomposed.
 
     A must carry the strong Perron-Frobenius property to begin with (the
     equivalence says nothing otherwise); violating that raises
@@ -612,8 +613,8 @@ def verify_preservation_theorem(
     the "f(A) is not a real strong Perron-Frobenius matrix" outcome, not an
     error. Other failures propagate.
     """
+    verdict = frobenius_check(f, factors.spec, tol)
     w = np.array(factors.spec.eigenvalue_multiset())
-    verdict = frobenius_check(f, factors.spec, np.max(np.abs(w)), tol)
     r = factors.transform
     with np.errstate(over="ignore", invalid="ignore"):
         a = factors.reconstruct()  # an overflow is refused by _finite_norm

@@ -509,6 +509,44 @@ class TestApply:
         assert main(["apply", path, "--fn", "poly:0", "--oracle"]) == 1
         assert "relative oracle deviation: inf" in capsys.readouterr().err
 
+    def test_oracle_refuses_a_non_entire_function(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, [[2.0, 1.0], [1.0, 3.0]])
+        code = main(["apply", path, "--fn", "root:2", "--oracle"])
+        captured = capsys.readouterr()
+        assert code == 2
+        strict_json(captured.out)  # f(A) itself is formed and emitted
+        assert captured.err == (
+            "error: root:2 is not entire; the series oracle does not apply\n"
+        )
+
+    def test_neither_kind_of_document_refused(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"name": "x"})
+        code = main(["apply", path, "--fn", "exp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: document is neither a matrix (rows) nor a factored "
+            "form (real_blocks / complex_blocks)\n"
+        )
+
+    @pytest.mark.parametrize("size", [172, 200])
+    @pytest.mark.parametrize("kind", ["real", "pair"])
+    def test_block_past_171_factorial(self, tmp_path, capsys, kind, size):
+        # 171! is beyond float64; f^(k)(lam) / k! is still formed
+        if kind == "real":
+            doc = {"real_blocks": [{"lambda": 1.0, "size": size}]}
+        else:
+            doc = {"complex_blocks": [{"re": 1.0, "im": 1.0, "size": size}]}
+        width = size if kind == "real" else 2 * size
+        doc["transform"] = np.eye(width).tolist()
+        out = tmp_path / "out.json"
+        path = write_spec(tmp_path, doc)
+        code = main(["apply", path, "--fn", "exp", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        fa = np.array(strict_json(out.read_text())["rows"])
+        assert fa.shape == (width, width) and np.isfinite(fa).all()
+
     def test_out_file_swaps_channels(self, tmp_path, capsys):
         out_doc = tmp_path / "result.json"
         code = main([
@@ -819,6 +857,16 @@ class TestSynthesize:
         assert code == 0, capsys.readouterr().err
         _, a = parse_matrix_document(load_document(out))
         assert np.isfinite(a).all()
+
+    def test_condition_estimate_read_at_call_time(self, tmp_path, capsys, monkeypatch):
+        # the command reads cli.condition_estimate when it runs, so a
+        # patched one is the one reported
+        import matfrob.cli
+
+        monkeypatch.setattr(matfrob.cli, "condition_estimate", lambda r: 12345.0)
+        spec = {"real_blocks": [{"lambda": 2.0}, {"lambda": -1.0}]}
+        assert main(["synthesize", write_spec(tmp_path, spec)]) == 0
+        assert capsys.readouterr().err == "transform condition estimate: 1.234500e+04\n"
 
     def test_rejects_lower_half_representative(self, tmp_path, capsys):
         spec = {"complex_blocks": [{"re": 1.0, "im": -2.0, "size": 1}]}

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from matfrob import (
     DimensionMismatchError,
@@ -22,24 +20,11 @@ from matfrob.core import (
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 
-finite_floats = st.floats(
-    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
-)
-
 
 class TestTolerance:
     def test_defaults(self):
         tol = Tolerance()
         assert tol.rel_eps == 1e-9
-
-    def test_eq_scalars(self):
-        tol = Tolerance()
-        assert tol.eq(1.0, 1.0)
-        assert tol.eq(1.0, 1.0 + 5e-10)
-        assert not tol.eq(1.0, 1.0 + 5e-9)
-        assert not tol.eq(0.0, 5e-10)  # no absolute part
-        assert tol.eq(1e12, 1e12 + 500.0)  # relative part scales
-        assert tol.eq(2 + 1j, 2 + 1j + 1e-10j)
 
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
@@ -51,12 +36,6 @@ class TestTolerance:
     def test_non_finite_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
             Tolerance(rel_eps=value)
-
-    @given(a=finite_floats, b=finite_floats)
-    @settings(max_examples=200)
-    def test_eq_symmetric(self, a, b):
-        tol = Tolerance(rel_eps=1e-6)
-        assert tol.eq(a, b) == tol.eq(b, a)
 
 
 class TestMatInverse:

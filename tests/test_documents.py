@@ -63,6 +63,16 @@ class TestMatrixDocuments:
         assert name == "matrix"
         assert a.shape == (1, 1)
 
+    def test_non_string_name_rejected(self, tmp_path, capsys):
+        doc = {"name": 5, "rows": [[1.0]]}
+        with pytest.raises(DocumentFormatError) as exc:
+            parse_matrix_document(doc)
+        assert str(exc.value) == "name must be a string, got 5"
+        path = tmp_path / "m.json"
+        dump_document(doc, path)
+        assert main(["check-pf", str(path)]) == 2
+        assert capsys.readouterr().err == "error: name must be a string, got 5\n"
+
     def test_rectangular_allowed_here(self):
         # squareness is the caller's concern, shape consistency is ours
         _, a = parse_matrix_document({"rows": [[1, 2, 3], [4, 5, 6]]})
@@ -311,6 +321,42 @@ class TestSpecDocuments:
         with pytest.raises(DocumentFormatError, match="square"):
             parse_spec_document(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"name": ["x"], "real_blocks": [{"lambda": 1.0}]},
+                "name must be a string, got ['x']",
+            ),
+            ({"real_blocks": {"lambda": 1.0}}, "real_blocks and complex_blocks must be lists"),
+            ({"complex_blocks": "1+1j"}, "real_blocks and complex_blocks must be lists"),
+            ({"real_blocks": [1.0]}, "real_blocks[0] must be an object"),
+            ({"complex_blocks": [[1.0, 1.0]]}, "complex_blocks[0] must be an object"),
+            (
+                {"complex_blocks": [{"re": 1.0, "im": 1.0, "size": 0}]},
+                "complex_blocks[0].size must be a positive integer, got 0",
+            ),
+            (
+                {"complex_blocks": [{"re": 1.0, "im": 0.0}]},
+                "complex_blocks[0] must use the representative with positive "
+                "imaginary part, got im = 0.0",
+            ),
+            (
+                {"complex_blocks": [{"re": 1.0, "im": -1.0}]},
+                "complex_blocks[0] must use the representative with positive "
+                "imaginary part, got im = -1.0",
+            ),
+        ],
+    )
+    def test_refusal_named(self, tmp_path, capsys, doc, message):
+        with pytest.raises(DocumentFormatError) as exc:
+            parse_spec_document(doc)
+        assert str(exc.value) == message
+        path = tmp_path / "s.json"
+        dump_document(doc, path)
+        assert main(["synthesize", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_empty_spec_rejected(self):
         with pytest.raises(DocumentFormatError):
             parse_spec_document({"real_blocks": [], "complex_blocks": []})
@@ -355,6 +401,11 @@ class TestExpressionParsing:
     def test_rejects(self, bad):
         with pytest.raises(ExpressionError):
             parse_function_expression(bad)
+
+    def test_empty_trailing_term_named(self):
+        with pytest.raises(ExpressionError) as exc:
+            parse_function_expression("exp +")
+        assert str(exc.value) == "empty term in function expression 'exp +'"
 
     @pytest.mark.parametrize(
         "text, message",

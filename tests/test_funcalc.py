@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,6 +257,28 @@ class TestNonFiniteParameters:
     def test_scaled_sum_weight(self, weight):
         with pytest.raises(ValueError, match=f"weights must be finite, got {weight!r}"):
             ScaledSum(((weight, Exp()),))
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Monomial(0), ValueError, "power must be a positive integer, got 0"),
+            (
+                lambda: Polynomial(()),
+                ValueError,
+                "polynomial needs at least one coefficient",
+            ),
+            (lambda: ScaledSum(()), ValueError, "scaled sum needs at least one term"),
+            (
+                lambda: ScaledSum(((1.0, "exp"),)),
+                TypeError,
+                "expected a SpectralFunction term, got <class 'str'>",
+            ),
+        ],
+    )
+    def test_other_bad_parameters_named(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 class TestDefinedOnSpectrum:
@@ -610,34 +633,95 @@ class TestOverflow:
             matrix_function(factors, Exp())
 
 
+class TestBlocksPastFactorialRange:
+    """171! is beyond float64, yet f^(k)(lam) / k! is still rounded once."""
+
+    @staticmethod
+    def over_factorial(x, k):
+        # float division up to 170!, the correctly rounded quotient past it
+        if k <= 170:
+            return x / math.factorial(k)
+        return float(Fraction(x) / math.factorial(k))
+
+    @pytest.mark.parametrize("size", [172, 200])
+    def test_real_block(self, size):
+        _, factors = synthesize_matrix(
+            JordanSpec(real_blocks=((1.0, size),)), np.eye(size)
+        )
+        fa = matrix_function(factors, Exp())
+        e = cmath.exp(1.0).real
+        assert fa[0].tolist() == [self.over_factorial(e, k) for k in range(size)]
+        # e / 171! is subnormal
+        assert 0.0 < fa[0, 171] < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("size", [172, 200])
+    def test_pair_block(self, size):
+        lam = 1.0 + 1.0j
+        _, factors = synthesize_matrix(
+            JordanSpec(complex_blocks=((lam, size),)), np.eye(2 * size)
+        )
+        fa = matrix_function(factors, Exp())
+        z = cmath.exp(lam)
+        expected = [
+            self.over_factorial(part, k)
+            for k in range(size)
+            for part in (z.real, z.imag)
+        ]
+        assert fa[0].tolist() == expected
+        assert np.isfinite(fa).all()
+
+
 class TestTaylorOracle:
     def test_cube_is_matrix_power(self):
         rng = np.random.default_rng(41)
         a = rng.standard_normal((4, 4))
-        np.testing.assert_allclose(taylor_oracle(a, Monomial(3), 10), a @ a @ a)
+        np.testing.assert_allclose(taylor_oracle(a, Monomial(3)), a @ a @ a)
 
     def test_exp_of_zero_matrix(self):
-        np.testing.assert_array_equal(taylor_oracle(np.zeros((3, 3)), Exp(), 30), np.eye(3))
+        np.testing.assert_array_equal(taylor_oracle(np.zeros((3, 3)), Exp()), np.eye(3))
 
     def test_exp_agrees_with_jordan_route(self):
-        # tail bound for ||B||_inf = 3 at 60 terms is far below 1e-8
-        tail = 3.0 ** 60 / math.factorial(60)
-        assert tail < 1e-30
         factors = extract_diagonalizable_structure(B)
         got = matrix_function(factors, Exp())
-        oracle = taylor_oracle(B, Exp(), 60)
+        oracle = taylor_oracle(B, Exp())
         assert np.max(np.abs(got - oracle)) < 1e-8
 
     def test_non_entire_rejected(self):
         message = "is not entire; the series oracle does not apply"
         with pytest.raises(NotEntireError, match=f"^root:3 {message}$"):
-            taylor_oracle(np.eye(2), PrincipalRoot(3), 10)
+            taylor_oracle(np.eye(2), PrincipalRoot(3))
         with pytest.raises(NotEntireError, match=f"^abs {message}$"):
-            taylor_oracle(np.eye(2), Abs(), 10)
+            taylor_oracle(np.eye(2), Abs())
 
-    def test_bad_terms_rejected(self):
-        with pytest.raises(ValueError):
-            taylor_oracle(np.eye(2), Exp(), 0)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # the unscaled 80-term series misses exp(A) here by 2.2e13,
+            # 4.3e41 and 100% (relative): A/2^s is where it converges
+            [[-30.0, 1.0], [0.0, -31.0]],
+            [[-40.0, 20.0], [20.0, -60.0]],
+            [[700.0, 0.0], [0.0, 1.0]],
+        ],
+    )
+    def test_exp_scales_and_squares(self, rows):
+        a = np.array(rows)
+        fa = matrix_function(extract_diagonalizable_structure(a), Exp())
+        oracle = taylor_oracle(a, Exp())
+        assert np.max(np.abs(oracle - fa)) <= 1e-12 * np.max(np.abs(fa))
+
+    def test_polynomial_atoms_take_their_degree(self):
+        # 80 terms hold no z^100 term; a sum is the sum of its atoms' oracles
+        a = B / 3.0
+        f = ScaledSum(
+            ((0.5, Exp()), (1.0, Monomial(100)), (2.0, Polynomial((1.0, -2.0))))
+        )
+        expected = (
+            0.5 * taylor_oracle(a, Exp())
+            + np.linalg.matrix_power(a, 100)
+            + 2.0 * (np.eye(2) - 2.0 * a)
+        )
+        np.testing.assert_allclose(taylor_oracle(a, f), expected, rtol=1e-13)
+        assert np.linalg.matrix_power(a, 100).max() > 1e-7
 
 
 class TestReflection:
@@ -648,10 +732,10 @@ class TestReflection:
         rng = np.random.default_rng(43)
         for f in differentiable_catalogue():
             pts = random_domain_points(rng, f, 25)
-            verdict = frobenius_check(f, spec_at(pts, 3), max(map(abs, pts)))
+            verdict = frobenius_check(f, spec_at(pts, 3))
             assert verdict.conjugate_symmetry, f.describe()
 
     def test_asymmetric_double_caught(self):
-        verdict = frobenius_check(SkewedDerivatives(), spec_at([1 + 1j], 1), 2.0)
+        verdict = frobenius_check(SkewedDerivatives(), spec_at([1 + 1j], 1))
         assert not verdict.conjugate_symmetry
         assert verdict.conjugate_witness == (1 + 1j, 0, abs(2 + 2j))

@@ -22,6 +22,8 @@ from matfrob.jordan import (
     _cluster_indices,
     assemble_real_jordan,
     block_diag,
+    func_jordan_block,
+    func_real_jordan_block,
     jordan_block,
     rotation_block,
 )
@@ -88,6 +90,15 @@ class TestBuilders:
     def test_jordan_block_bad_size(self):
         with pytest.raises(ValueError):
             jordan_block(1.0, 0)
+
+    @pytest.mark.parametrize("builder", [func_jordan_block, func_real_jordan_block])
+    def test_func_builders_refuse_size_zero(self, builder):
+        with pytest.raises(ValueError, match="^block size must be at least 1, got 0$"):
+            builder((1.0,), 0)
+
+    def test_block_diag_needs_a_block(self):
+        with pytest.raises(ValueError, match="^need at least one block$"):
+            block_diag([])
 
     def test_rotation_block(self):
         np.testing.assert_array_equal(rotation_block(1 + 2j), [[1, 2], [-2, 1]])
@@ -203,6 +214,13 @@ class TestJordanSpec:
         with pytest.raises(ValueError):
             JordanSpec(complex_blocks=((1.0 + 0j, 1),))
 
+    @pytest.mark.parametrize(
+        "blocks", [{"real_blocks": ((1.0, 0),)}, {"complex_blocks": ((1 + 1j, 0),)}]
+    )
+    def test_block_of_size_zero_named(self, blocks):
+        with pytest.raises(ValueError, match="^block size must be at least 1, got 0$"):
+            JordanSpec(**blocks)
+
 
 class TestAssemble:
     def test_mixed_layout(self):
@@ -310,6 +328,12 @@ class TestFactors:
         f = RealJordanFactors(spec, np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             f.transform[0, 0] = 9.0
+
+    def test_transform_shape_must_match_the_spec(self):
+        spec = JordanSpec(real_blocks=((2.0, 3),))
+        message = r"^transform shape \(2, 2\) does not match spec dimension 3$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            RealJordanFactors(spec, np.eye(2), np.eye(2))
 
 
 class TestExtract:

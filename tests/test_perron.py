@@ -60,6 +60,19 @@ class ShiftedOffAxis(SpectralFunction):
         return 1.0 if order == 1 else 0j
 
 
+class PoleAtTwo(SpectralFunction):
+    """f(z) = 1 / (2 - z): defined everywhere but at 2."""
+
+    def defined_at(self, z):
+        return z != 2
+
+    def describe(self):
+        return "1/(2-z)"
+
+    def _derivative(self, z, order):
+        return math.factorial(order) / (2 - z) ** (order + 1)
+
+
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 RHO_B = (1.0 + math.sqrt(17.0)) / 2.0
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -407,7 +420,7 @@ class TestPowerThreshold:
 class TestFrobeniusCheck:
     def test_exp_on_golden_spectrum(self):
         spec = spec_at([RHO_B, (1 - math.sqrt(17.0)) / 2], 1)
-        verdict = frobenius_check(Exp(), spec, RHO_B)
+        verdict = frobenius_check(Exp(), spec)
         assert verdict.overall
         assert verdict.conjugate_symmetry
         assert verdict.modulus_domination
@@ -415,14 +428,14 @@ class TestFrobeniusCheck:
         assert "HOLD" in verdict.format_text()
 
     def test_negation_fails_positivity(self):
-        verdict = frobenius_check(NEGATE, spec_at([2.0, -1.0], 1), 2.0)
+        verdict = frobenius_check(NEGATE, spec_at([2.0, -1.0], 1))
         assert not verdict.overall
         assert not verdict.positivity_at_rho
         assert verdict.conjugate_symmetry
         assert any("positive real" in n for n in verdict.notes)
 
     def test_odd_root_conjugate_defect(self):
-        verdict = frobenius_check(PrincipalRoot(3), spec_at([2.0, -1.0], 1), 2.0)
+        verdict = frobenius_check(PrincipalRoot(3), spec_at([2.0, -1.0], 1))
         assert not verdict.conjugate_symmetry
         z, order, defect = verdict.conjugate_witness
         assert (z, order) == (-1.0 + 0j, 0)
@@ -433,7 +446,7 @@ class TestFrobeniusCheck:
     def test_marginal_domination(self):
         # (z - 1)^2 takes the same value 4 at both spectrum points
         f = Polynomial((1.0, -2.0, 1.0))
-        verdict = frobenius_check(f, spec_at([3.0, -1.0], 1), 3.0)
+        verdict = frobenius_check(f, spec_at([3.0, -1.0], 1))
         assert not verdict.modulus_domination
         assert verdict.modulus_marginal
         z, abs_f, f_rho = verdict.modulus_witness
@@ -444,28 +457,29 @@ class TestFrobeniusCheck:
     def test_spectrum_outside_domain_is_a_failure(self):
         # as in matrix_function: f is not defined on the spectrum
         with pytest.raises(NotDefinedOnSpectrumError, match="-1"):
-            frobenius_check(PrincipalRoot(2), spec_at([2.0, -1.0], 1), 2.0)
+            frobenius_check(PrincipalRoot(2), spec_at([2.0, -1.0], 1))
 
     def test_rho_outside_domain(self):
-        verdict = frobenius_check(PrincipalRoot(2), spec_at([1.0], 1), 0.0)
+        # rho = |-2| = 2 is not an eigenvalue, and f is undefined there only
+        verdict = frobenius_check(PoleAtTwo(), spec_at([-2.0, 1.0], 1))
         assert not verdict.positivity_at_rho
-        assert any("domain" in n for n in verdict.notes)
+        assert verdict.notes == ("rho = 2 is outside the domain of 1/(2-z)",)
 
     def test_each_distinct_point_evaluated_once(self, monkeypatch):
         # rho is the first spectrum point, -1 is repeated, and both are their
         # own conjugates: two distinct points, so two evaluations
         calls = count_scalar_calls(monkeypatch)
-        verdict = frobenius_check(Exp(), spec_at([2.0, -1.0, -1.0], 1), 2.0)
+        verdict = frobenius_check(Exp(), spec_at([2.0, -1.0, -1.0], 1))
         assert verdict.overall
         assert calls == [(Exp(), 2.0 + 0j, 0), (Exp(), -1.0 + 0j, 0)]
 
     def test_undefined_point_noted_once(self):
         with pytest.raises(NotDefinedOnSpectrumError) as err:
-            frobenius_check(PrincipalRoot(2), spec_at([2, -1, -1], 1), 2.0)
+            frobenius_check(PrincipalRoot(2), spec_at([2, -1, -1], 1))
         assert str(err.value).count("outside the domain") == 1
 
     def test_serialization(self):
-        verdict = frobenius_check(Exp(), spec_at([2.0, 1.0], 1), 2.0)
+        verdict = frobenius_check(Exp(), spec_at([2.0, 1.0], 1))
         d = verdict.to_dict()
         assert d["overall"] is True
         assert d["modulus_witness"]["f_rho"] == pytest.approx(math.exp(2.0))
@@ -719,13 +733,13 @@ class TestDerivativeReality:
         rng = np.random.default_rng(19)
         samples = rng.uniform(0.1, 4.0, size=20)
         for f in differentiable_catalogue():
-            verdict = frobenius_check(f, spec_at(samples, 6), max(samples))
+            verdict = frobenius_check(f, spec_at(samples, 6))
             assert verdict.conjugate_symmetry, f.describe()
 
     def test_skewed_double_caught(self):
         # f = i*z is imaginary at 1.5, f' = i everywhere: both orders fail
         spec = spec_at([1.5], 3)
-        verdict = frobenius_check(SkewedDerivatives(), spec, 1.5)
+        verdict = frobenius_check(SkewedDerivatives(), spec)
         assert not verdict.conjugate_symmetry
         assert verdict.conjugate_witness == (1.5 + 0j, 0, 3.0)
         _, factors = synthesize_matrix(spec, np.eye(3))
@@ -733,10 +747,10 @@ class TestDerivativeReality:
             matrix_function(factors, SkewedDerivatives())
 
     def test_abs_value_level_only(self):
-        verdict = frobenius_check(Abs(), spec_at([1.0, 2.0], 1), 2.0)
+        verdict = frobenius_check(Abs(), spec_at([1.0, 2.0], 1))
         assert verdict.conjugate_symmetry
         with pytest.raises(NotDefinedOnSpectrumError, match="order-1 derivative"):
-            frobenius_check(Abs(), spec_at([1.0], 2), 1.0)
+            frobenius_check(Abs(), spec_at([1.0], 2))
 
 
 class TestOneTableForBothSides:

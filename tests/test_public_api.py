@@ -82,6 +82,25 @@ def test_tolerance_is_one_relative_knob():
         assert tuple(inspect.signature(fn).parameters) == ("a",), fn.__name__
 
 
+def test_no_parameter_the_code_can_work_out():
+    # the oracle picks each node's series itself, and rho is the spec's
+    from matfrob import cli
+    from matfrob.core import DEFAULT_TOL
+
+    assert tuple(inspect.signature(matfrob.taylor_oracle).parameters) == ("a", "f")
+    params = inspect.signature(matfrob.frobenius_check).parameters
+    assert tuple(params) == ("f", "spec", "tol")
+    assert params["tol"].default is DEFAULT_TOL
+    # one oracle, in funcalc: the CLI neither keeps its own nor names a node
+    assert not hasattr(cli, "_oracle") and not hasattr(cli, "ORACLE_TERMS")
+    assert not [
+        v for v in vars(cli).values()
+        if isinstance(v, type) and issubclass(v, matfrob.SpectralFunction)
+    ]
+    # no scalar comparison that no check makes
+    assert not hasattr(matfrob.Tolerance, "eq")
+
+
 def test_submodule_names_are_not_exported():
     for name, module in SUBMODULE_ONLY.items():
         assert not hasattr(matfrob, name), name
