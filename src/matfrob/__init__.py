@@ -2,31 +2,25 @@
 and eventual-positivity checks.
 
 The public surface is what a caller of the preservation equivalence uses:
-the tolerance and error types (core), planted and extracted real Jordan
-factors (jordan), the scalar function nodes and matrix_function (funcalc),
-and the property checks tying the scalar conditions to the matrix-level
-outcome (perron). Block builders, dense kernels and report classes stay in
-their submodules.
+the tolerance and the error types callers tell apart (core, funcalc),
+planted and extracted real Jordan factors (jordan), the scalar function
+nodes and matrix_function (funcalc), and the property checks tying the
+scalar conditions to the matrix-level outcome (perron). Block builders,
+dense kernels and report classes stay in their submodules.
 """
 
 from .core import (
-    DimensionMismatchError,
     MatFrobError,
     PreconditionError,
     SingularMatrixError,
-    SolverConvergenceError,
     Tolerance,
 )
 from .funcalc import (
     Abs,
-    ConjugateSymmetryError,
-    DomainError,
     Exp,
     Monomial,
-    NonDifferentiableError,
     NonRealResultError,
     NotDefinedOnSpectrumError,
-    NotEntireError,
     Polynomial,
     PrincipalRoot,
     ScaledSum,
@@ -35,8 +29,6 @@ from .funcalc import (
     taylor_oracle,
 )
 from .jordan import (
-    DefectiveMatrixError,
-    IllConditionedError,
     IllConditionedWarning,
     JordanSpec,
     RealJordanFactors,
@@ -56,16 +48,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Tolerance",
     "MatFrobError",
-    "DimensionMismatchError",
     "SingularMatrixError",
-    "SolverConvergenceError",
     "PreconditionError",
     "JordanSpec",
     "RealJordanFactors",
     "synthesize_matrix",
     "extract_diagonalizable_structure",
-    "DefectiveMatrixError",
-    "IllConditionedError",
     "IllConditionedWarning",
     "SpectralFunction",
     "Monomial",
@@ -76,11 +64,7 @@ __all__ = [
     "ScaledSum",
     "matrix_function",
     "taylor_oracle",
-    "DomainError",
-    "NonDifferentiableError",
-    "ConjugateSymmetryError",
     "NonRealResultError",
-    "NotEntireError",
     "NotDefinedOnSpectrumError",
     "strong_pf_check",
     "eventually_positive_check",

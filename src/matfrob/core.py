@@ -17,9 +17,7 @@ import numpy as np
 
 __all__ = [
     "MatFrobError",
-    "DimensionMismatchError",
     "SingularMatrixError",
-    "SolverConvergenceError",
     "PreconditionError",
     "Tolerance",
     "DEFAULT_TOL",
@@ -34,19 +32,12 @@ __all__ = [
 
 
 class MatFrobError(Exception):
-    """Base class for every error this package raises on purpose."""
-
-
-class DimensionMismatchError(MatFrobError):
-    """Operand shapes are incompatible with the requested operation."""
+    """Base class for every error this package raises on purpose, and the
+    class of a failure that no caller tells apart from the others."""
 
 
 class SingularMatrixError(MatFrobError):
     """Matrix is singular to working tolerance."""
-
-
-class SolverConvergenceError(MatFrobError):
-    """An iterative kernel failed to converge."""
 
 
 class PreconditionError(MatFrobError):
@@ -78,7 +69,7 @@ def as_real_matrix(a) -> np.ndarray:
     """Validate and return `a` as a 2-d float64 array.
 
     Complex input is accepted only when its imaginary part is exactly zero.
-    Non-finite entries raise PreconditionError.
+    Another shape or a non-finite entry raises PreconditionError.
     """
     m = np.asarray(a)
     if np.iscomplexobj(m):
@@ -87,7 +78,7 @@ def as_real_matrix(a) -> np.ndarray:
         m = m.real
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
+        raise PreconditionError(f"expected a 2-d matrix, got shape {m.shape}")
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         i, j = bad[0]
@@ -99,7 +90,7 @@ def as_real_matrix(a) -> np.ndarray:
 
 def require_square(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+        raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
 
 
 def norm_inf(a) -> float:
@@ -143,7 +134,7 @@ def mat_inverse(a) -> np.ndarray:
     """
     m = np.asarray(a)
     if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
+        raise PreconditionError(f"expected a 2-d matrix, got shape {m.shape}")
     require_square(m)
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
@@ -161,7 +152,7 @@ def _decomposable(a) -> np.ndarray:
     m = as_real_matrix(a)
     require_square(m)
     if m.shape[0] == 0:
-        raise DimensionMismatchError("cannot decompose an empty matrix")
+        raise PreconditionError("cannot decompose an empty matrix")
     return m
 
 
@@ -178,7 +169,7 @@ def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
-        raise SolverConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+        raise MatFrobError(f"eigenvalue iteration failed: {exc}") from exc
     return np.asarray(w, dtype=complex), np.asarray(v, dtype=complex)
 
 
@@ -192,5 +183,5 @@ def _eigenvalues(a) -> np.ndarray:
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
-        raise SolverConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+        raise MatFrobError(f"eigenvalue iteration failed: {exc}") from exc
     return np.asarray(w, dtype=complex)

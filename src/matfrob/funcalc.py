@@ -40,11 +40,7 @@ from .jordan import (
 )
 
 __all__ = [
-    "DomainError",
-    "NonDifferentiableError",
-    "ConjugateSymmetryError",
     "NonRealResultError",
-    "NotEntireError",
     "NotDefinedOnSpectrumError",
     "SpectralFunction",
     "Monomial",
@@ -62,24 +58,10 @@ __all__ = [
 ORACLE_TERMS = 80
 
 
-class DomainError(MatFrobError):
-    """Evaluation point lies outside the function's domain, or f overflows."""
-
-
-class NonDifferentiableError(MatFrobError):
-    """Requested derivative order is not available for this node."""
-
-
-class ConjugateSymmetryError(MatFrobError):
-    """Derivative values at a conjugate pair are not conjugate."""
-
-
 class NonRealResultError(MatFrobError):
-    """A value or derivative f^(j) at a real eigenvalue is not real."""
-
-
-class NotEntireError(MatFrobError):
-    """Power-series coefficients requested from a non-entire function."""
+    """f's table fails the conjugate-symmetry test, so f(A) is not real:
+    f^(j)(conj lam) != conj f^(j)(lam) at a complex pair, or f^(j) is not
+    real at a real eigenvalue."""
 
 
 class NotDefinedOnSpectrumError(MatFrobError):
@@ -116,16 +98,14 @@ class SpectralFunction:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
         z = complex(z)
         if not self.defined_at(z):
-            raise DomainError(f"{z} is outside the domain of {self.describe()}")
+            raise MatFrobError(f"{z} is outside the domain of {self.describe()}")
         cap = self.max_derivative_order()
         if cap is not None and order > cap:
-            raise NonDifferentiableError(
-                f"{self.describe()} has no derivative of order {order}"
-            )
+            raise MatFrobError(f"{self.describe()} has no derivative of order {order}")
         return _hook(self, z, order)
 
     def taylor_coefficients(self, terms: int) -> np.ndarray:
-        raise NotEntireError(
+        raise MatFrobError(
             f"{self.describe()} is not entire; the series oracle does not apply"
         )
 
@@ -140,11 +120,11 @@ def _what(f: SpectralFunction, order: int) -> str:
 
 
 def _hook(f: SpectralFunction, z: complex, order: int) -> complex:
-    """f._derivative(z, order); an OverflowError becomes a DomainError naming f."""
+    """f._derivative(z, order); an OverflowError becomes a MatFrobError naming f."""
     try:
         return f._derivative(z, order)
     except OverflowError as exc:
-        raise DomainError(f"{_what(f, order)} overflows float64 at {z}") from exc
+        raise MatFrobError(f"{_what(f, order)} overflows float64 at {z}") from exc
 
 
 @dataclass(frozen=True)
@@ -393,16 +373,14 @@ def _assemble(
             f"{_what(f, j)} is not conjugate-symmetric at {lam}: |f^({j})(conj "
             f"lam) - conj f^({j})(lam)| = {defect:.3e} (limit {limit:.3e})"
         )
-        if lam.imag:
-            raise ConjugateSymmetryError(message)
-        raise NonRealResultError(
-            f"{message}; {f.describe()} is not real-valued on this spectrum"
-        )
+        if not lam.imag:
+            message += f"; {f.describe()} is not real-valued on this spectrum"
+        raise NonRealResultError(message)
     with np.errstate(over="ignore", invalid="ignore"):
         fj = _assemble_blocks(factors.spec, lambda lam: table[complex(lam)])
         out = factors.transform @ fj @ factors.transform_inverse
     if not math.isfinite(norm_inf(out)):
-        raise DomainError(f"f(A) overflows float64 for f = {f.describe()}")
+        raise MatFrobError(f"f(A) overflows float64 for f = {f.describe()}")
     return out
 
 
@@ -414,11 +392,11 @@ def matrix_function(
     Builds f's table on the spectrum, raising NotDefinedOnSpectrumError when
     f lacks a value or derivative the structure needs, and tests it: at
     order j, |f^(j)(conj lam) - conj f^(j)(lam)| may be at most tol.rel_eps
-    times the largest |f^(j)| on the spectrum. A failing complex pair raises
-    ConjugateSymmetryError, before a failing real eigenvalue raises
-    NonRealResultError. Imaginary parts that pass are dropped, so
-    R f(J) R^{-1} is one float64 product. A result with a non-finite entry
-    or infinity norm raises DomainError.
+    times the largest |f^(j)| on the spectrum. A failing entry raises
+    NonRealResultError, naming a failing complex pair before a failing real
+    eigenvalue. Imaginary parts that pass are dropped, so R f(J) R^{-1} is
+    one float64 product. A value of f, or a result with a non-finite entry
+    or infinity norm, beyond float64 raises MatFrobError.
     """
     table = _spectral_table(f, factors.spec)
     failed = [d for d in _conjugate_defects(table, tol) if d[2] > d[3]]
@@ -434,7 +412,7 @@ def taylor_oracle(a, f: SpectralFunction) -> np.ndarray:
     ||A||_inf / 2^s <= 1/2, squared s times. Monomial and Polynomial take
     their degree + 1 terms, which is exact; any other node takes
     ORACLE_TERMS. A node without taylor_coefficients (root, abs) raises
-    NotEntireError.
+    MatFrobError.
     """
     m = as_real_matrix(a)
     require_square(m)

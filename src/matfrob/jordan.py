@@ -21,8 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DimensionMismatchError,
-    MatFrobError,
     PreconditionError,
     SingularMatrixError,
     as_real_matrix,
@@ -34,12 +32,9 @@ from .core import (
 )
 
 __all__ = [
-    "DefectiveMatrixError",
-    "IllConditionedError",
     "IllConditionedWarning",
     "JordanSpec",
     "RealJordanFactors",
-    "jordan_block",
     "rotation_block",
     "block_diag",
     "func_jordan_block",
@@ -51,14 +46,6 @@ __all__ = [
 
 CONDITION_WARN = 1e6
 CONDITION_HARD = 1e8
-
-
-class DefectiveMatrixError(MatFrobError):
-    """Raw-entry extraction hit a (numerically) defective eigenstructure."""
-
-
-class IllConditionedError(MatFrobError):
-    """Transform condition number exceeds the hard limit."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -127,17 +114,6 @@ class JordanSpec:
             for z in (lam, lam.conjugate()):
                 index[z] = max(index.get(z, 0), n)
         return list(index.items())
-
-
-def jordan_block(lam: complex, size: int) -> np.ndarray:
-    """Upper bidiagonal block: `lam` on the diagonal, ones above it."""
-    if size < 1:
-        raise ValueError(f"block size must be at least 1, got {size}")
-    m = np.zeros((size, size), dtype=complex)
-    np.fill_diagonal(m, complex(lam))
-    idx = np.arange(size - 1)
-    m[idx, idx + 1] = 1.0
-    return m
 
 
 def rotation_block(lam: complex) -> np.ndarray:
@@ -237,7 +213,7 @@ class RealJordanFactors:
         require_square(r)
         n = self.spec.total_dimension
         if r.shape != (n, n) or ri.shape != (n, n):
-            raise DimensionMismatchError(
+            raise PreconditionError(
                 f"transform shape {r.shape} does not match spec dimension {n}"
             )
         resid = max_abs(r @ ri - np.eye(n))
@@ -262,15 +238,16 @@ def synthesize_matrix(
 
     One SVD of the transform decides singularity (a smallest singular
     value of zero, or subnormal, whose inverse can overflow) and
-    conditioning: above 1e6 a warning is issued, above 1e8 the synthesis is
-    refused since the factored structure would be numerically meaningless.
-    No bound depends on the scale of R: cR gives the same A for every c != 0.
-    An A with an entry beyond float64 raises PreconditionError.
+    conditioning: above 1e6 an IllConditionedWarning is issued, and above
+    1e8 the synthesis is refused with PreconditionError, since the factored
+    structure would be numerically meaningless. No bound depends on the
+    scale of R: cR gives the same A for every c != 0. An A with an entry
+    beyond float64 raises PreconditionError too.
     """
     r = as_real_matrix(transform)
     require_square(r)
     if r.shape[0] != spec.total_dimension:
-        raise DimensionMismatchError(
+        raise PreconditionError(
             f"transform is {r.shape[0]}x{r.shape[1]} but the spec has total "
             f"dimension {spec.total_dimension}"
         )
@@ -281,7 +258,7 @@ def synthesize_matrix(
         )
     cond = float(s[0] / s[-1])
     if cond > CONDITION_HARD:
-        raise IllConditionedError(
+        raise PreconditionError(
             f"transform condition estimate {cond:.3e} exceeds {CONDITION_HARD:.0e}"
         )
     if cond > CONDITION_WARN:
@@ -335,7 +312,7 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
     so none depends on the scale of A and no tolerance is read. Eigenvalues
     closer than 1e-6 * ||A||_inf are clustered, and a cluster whose
     eigenvector block has rank below its size (singular values under 1e-8
-    times the largest) raises DefectiveMatrixError telling the caller to
+    times the largest) raises PreconditionError telling the caller to
     supply explicit factors via synthesize_matrix instead; so do an
     eigenvector basis of condition 1e12 or more and a reconstruction
     residual above 1e-6 * ||A||_inf. Each conjugate pair is read from its
@@ -355,7 +332,7 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
         s = np.linalg.svd(v[:, idx], compute_uv=False)
         rank = int(np.count_nonzero(s > 1e-8 * s[0]))
         if rank < len(idx):
-            raise DefectiveMatrixError(
+            raise PreconditionError(
                 f"eigenvalue cluster near {w[idx[0]]:.6g} has multiplicity "
                 f"{len(idx)} but only {rank} independent eigenvector(s); the "
                 "matrix is defective to tolerance. Build it from explicit "
@@ -397,7 +374,7 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
     try:
         r_inv = mat_inverse(r)
     except SingularMatrixError as exc:
-        raise DefectiveMatrixError(
+        raise PreconditionError(
             "eigenvector basis is numerically singular; the matrix is "
             "defective to tolerance. Build it from explicit factors via "
             "synthesize_matrix instead."
@@ -405,7 +382,7 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
     factors = RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
     resid = norm_inf(factors.reconstruct() - m)
     if resid > 1e-6 * scale:
-        raise DefectiveMatrixError(
+        raise PreconditionError(
             f"diagonalizable reconstruction residual {resid:.3e} exceeds "
             f"{1e-6 * scale:.3e}; the matrix is too close to "
             "defective. Build it from explicit factors via synthesize_matrix "

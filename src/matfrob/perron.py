@@ -19,8 +19,9 @@ A matrix given by its entries gets its eigenvalues alone from LAPACK, and
 rho's right and left eigenvectors each from one real bordered solve; it is
 fully decomposed only when rho is not simple or a solve fails its
 residual test (_perron_vector). A matrix given by its real Jordan factors
-A = R J R^{-1} is not decomposed at all: its spectrum is the spec's,
-exactly, and its eigenvectors are read off the columns of R.
+A = R J R^{-1} is neither decomposed nor formed: its spectrum is the
+spec's and R's entries are given, so its report is decided on them with
+no tolerance, only a cluster radius of 1e-6 * rho.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    MatFrobError,
     PreconditionError,
     Tolerance,
     _eigenvalues,
@@ -42,7 +44,6 @@ from .core import (
     require_square,
 )
 from .funcalc import (
-    ConjugateSymmetryError,
     NonRealResultError,
     SpectralFunction,
     _assemble,
@@ -148,7 +149,8 @@ def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
     rho = float(np.max(np.abs(w)))
     rho_positive = rho > negligible
 
-    dist = np.abs(w - rho)
+    with np.errstate(over="ignore"):  # inf at -rho when 2 rho overflows
+        dist = np.abs(w - rho)
     idx = int(np.argmin(dist))
     rho_in_spectrum = bool(dist[idx] <= negligible)
 
@@ -208,8 +210,8 @@ def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     its residual test. Simplicity and dominance are decided against the
     eigenvalue cluster within 1e-6 * ||A||_inf of rho, so a numerically
     split multiple eigenvalue is still recognized as one. For factored
-    input, verify_preservation_theorem builds the same report from the
-    factors without decomposing.
+    input, verify_preservation_theorem decides the five conditions on the
+    factors, with no tolerance and without forming A.
     """
     m = as_real_matrix(a)
     require_square(m)
@@ -600,30 +602,36 @@ def verify_preservation_theorem(
 
     frobenius_check comes first, so an f undefined on the spectrum raises
     NotDefinedOnSpectrumError whatever A is. A's report is read off its
-    factors, with no eigendecomposition: the spectrum is the spec's exact
-    eigenvalue multiset, listed block by block in the transform's column
-    order, so the first slot k of the block nearest rho indexes its
-    eigenvector, R[:, k], or R[:, k] + i R[:, k+1] at a non-real eigenvalue.
-    Only f(A) is decomposed.
+    factors, so A is neither formed nor decomposed and `tol` does not apply
+    to it: the spectrum is the spec's eigenvalue multiset, listed block by
+    block in the transform's column order, and rho must be one of its
+    entries, exactly. Entries within 1e-6 * rho of rho form rho's cluster,
+    so a multiple rho that rounding split in extraction is not simple; every
+    entry outside it must have modulus below rho. Moduli are float64, so a
+    complex eigenvalue whose modulus rounds to rho ties with it. The first
+    slot k of rho's block indexes its eigenvector R[:, k], which, scaled to
+    largest entry 1, must be strictly positive. None of this changes under
+    (spec, D P R) for a positive diagonal D and a permutation P. Only f(A)
+    is decomposed, and `tol` governs f's side and f(A)'s report.
 
     A must carry the strong Perron-Frobenius property to begin with (the
     equivalence says nothing otherwise); violating that raises
     PreconditionError. f(A) is formed, as in matrix_function, from the table
     and conjugate-symmetry failures frobenius_check found; such a failure is
     the "f(A) is not a real strong Perron-Frobenius matrix" outcome, not an
-    error. Other failures propagate.
+    error. When f's side holds and f(A)'s report fails, the report is run
+    on the exact f(A) as well, with spectrum f(w) and A's Perron vector; if
+    that fails too, `tol` cannot resolve the comparison and MatFrobError is
+    raised instead of a disagreement. Other failures propagate.
     """
     verdict = frobenius_check(f, factors.spec, tol)
     w = np.array(factors.spec.eigenvalue_multiset())
     r = factors.transform
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = factors.reconstruct()  # an overflow is refused by _finite_norm
-    a_report = _perron_report(
-        w,
-        lambda k, simple: r[:, k] + 1j * r[:, k + 1] if w[k].imag else r[:, k],
-        _finite_norm(a),
-        tol,
-    )
+
+    def column(k, simple):
+        return r[:, k]
+
+    a_report = _perron_report(w, column, float(np.max(np.abs(w))), Tolerance(0.0))
     if not a_report.overall:
         raise PreconditionError(
             "the factored matrix lacks the strong Perron-Frobenius property "
@@ -636,11 +644,26 @@ def verify_preservation_theorem(
     fa_pf = False
     try:
         f_of_a = _assemble(factors, f, verdict.table, verdict.conjugate_failures)
-    except (ConjugateSymmetryError, NonRealResultError) as exc:
+    except NonRealResultError as exc:
         fa_error = str(exc)
     else:
         fa_report = strong_pf_check(f_of_a, tol)
         fa_pf = fa_report.overall
+        if verdict.overall and not fa_pf:
+            # the exact f(A): spectrum f(w), and A's Perron vector R[:, k]
+            # at rho; a report that fails it cannot tell the two sides apart
+            exact = _perron_report(
+                np.array([verdict.table[complex(z)][0] for z in w]),
+                column,
+                norm_inf(f_of_a),
+                tol,
+            )
+            if not exact.overall:
+                raise MatFrobError(
+                    f"the comparison is unresolved at tolerance {tol.rel_eps:g}: "
+                    "f(A)'s report fails on its exact spectrum and Perron "
+                    f"vector too (failed: {', '.join(exact.failed_conditions())})"
+                )
 
     return PreservationResult(
         f_is_frobenius=verdict.overall,

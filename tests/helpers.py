@@ -1,5 +1,5 @@
-"""Shared test utilities: spectrum comparison, function catalogues, call
-counts, strict JSON."""
+"""Shared test utilities: a reference Jordan block, spectrum comparison,
+function catalogues, call counts, strict JSON."""
 
 import json
 
@@ -16,6 +16,18 @@ from matfrob import (
     ScaledSum,
     SpectralFunction,
 )
+
+
+def jordan_block(lam, size):
+    """Upper bidiagonal block: `lam` on the diagonal, ones above it; the
+    reference the block builders are checked against."""
+    if size < 1:
+        raise ValueError(f"block size must be at least 1, got {size}")
+    m = np.zeros((size, size), dtype=complex)
+    np.fill_diagonal(m, complex(lam))
+    idx = np.arange(size - 1)
+    m[idx, idx + 1] = 1.0
+    return m
 
 
 def assert_multiset_close(actual, expected, atol=1e-7):

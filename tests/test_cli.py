@@ -242,6 +242,19 @@ class TestOverflowingInput:
         assert captured.out == ""
         assert "overflows float64" in captured.err
 
+    def test_distance_to_rho_beyond_float64(self, tmp_path, capsys):
+        # ||A|| is finite, but -rho lies 2e308 from rho: an infinite distance
+        # fails dominance, with no numpy warning
+        path = write_matrix(tmp_path, [[1e308, 0.0], [0.0, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check-pf", path])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        assert "[FAIL] rho strictly dominates all other eigenvalues (margin 0)" in (
+            captured.out
+        )
+
 
 class TestOverflowingSynthesis:
     """A = R J R^-1 beyond float64 exits 2 by name, with no numpy warning."""
@@ -268,6 +281,43 @@ class TestOverflowingSynthesis:
         assert captured.out == ""
         assert "A = R J R^-1 overflows float64" in captured.err
         assert not out.exists()
+
+
+class TestRefusalTable:
+    """One refusal per kind of failure the library tells apart, pinned to its
+    exact stderr line: the class a failure is raised as never shows here.
+    TestApply::test_oracle_refuses_a_non_entire_function pins the
+    not-entire refusal."""
+
+    BIG = {"real_blocks": [{"lambda": 1000.0}]}
+    OVERFLOW = "error: exp overflows float64 at (1000+0j)\n"
+
+    @pytest.mark.parametrize(
+        "argv, doc, err",
+        [
+            (["check-pf"], {"rows": [[1, 2]]},
+             "error: expected a square matrix, got shape (1, 2)\n"),
+            (["apply", "--fn", "exp"], {"rows": [[1, 1], [0, 1]]},
+             "error: eigenvalue cluster near 1+0j has multiplicity 2 but only 1 "
+             "independent eigenvector(s); the matrix is defective to tolerance. "
+             "Build it from explicit factors via synthesize_matrix instead.\n"),
+            (["synthesize"],
+             {"real_blocks": [{"lambda": 1.0}, {"lambda": 2.0}],
+              "transform": [[1.0, 0.0], [0.0, 1e-9]]},
+             "error: transform condition estimate 1.000e+09 exceeds 1e+08\n"),
+            (["apply", "--fn", "exp"], BIG, OVERFLOW),
+            (["verify", "--fn", "exp"], BIG, OVERFLOW),
+            (["apply", "--fn", "root:3"], {"rows": [[-1, 0], [0, 2]]},
+             "error: root:3 is not conjugate-symmetric at (-1+0j): |f^(0)(conj "
+             "lam) - conj f^(0)(lam)| = 1.732e+00 (limit 1.260e-09); root:3 is "
+             "not real-valued on this spectrum\n"),
+        ],
+        ids=["not-square", "defective", "ill-conditioned", "apply-overflow",
+             "verify-overflow", "non-real"],
+    )
+    def test_stderr_and_exit_code(self, tmp_path, capsys, argv, doc, err):
+        code = main([argv[0], write_spec(tmp_path, doc), *argv[1:]])
+        assert (code, capsys.readouterr().err) == (2, err)
 
 
 class TestUnreadableDocuments:
@@ -458,11 +508,12 @@ class TestApply:
             code = main([
                 "apply", write_matrix(tmp_path, rows), "--fn", "exp", "--oracle",
             ])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 2
-        assert "power series overflowed float64" in err
-        assert "oracle is unusable" in err
-        assert "oracle deviation" not in err
+        assert captured.out == ""
+        assert "power series overflowed float64" in captured.err
+        assert "oracle is unusable" in captured.err
+        assert "oracle deviation" not in captured.err
 
     @pytest.mark.parametrize(
         "rows, fn",
@@ -510,14 +561,18 @@ class TestApply:
         assert "relative oracle deviation: inf" in capsys.readouterr().err
 
     def test_oracle_refuses_a_non_entire_function(self, tmp_path, capsys):
+        # exit 2 emits nothing: f(A) waits for the oracle, on stdout or --out
         path = write_matrix(tmp_path, [[2.0, 1.0], [1.0, 3.0]])
-        code = main(["apply", path, "--fn", "root:2", "--oracle"])
-        captured = capsys.readouterr()
-        assert code == 2
-        strict_json(captured.out)  # f(A) itself is formed and emitted
-        assert captured.err == (
-            "error: root:2 is not entire; the series oracle does not apply\n"
-        )
+        out = tmp_path / "out.json"
+        for extra in ([], ["--out", str(out)]):
+            code = main(["apply", path, "--fn", "root:2", "--oracle", *extra])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (
+                "error: root:2 is not entire; the series oracle does not apply\n"
+            )
+            assert not out.exists()
 
     def test_neither_kind_of_document_refused(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"name": "x"})
@@ -697,6 +752,27 @@ class TestVerify:
             "the domain of root:2. Choose a function defined (with enough "
             "derivatives) at every eigenvalue.\n"
         )
+
+    @pytest.mark.parametrize(
+        "doc, err",
+        [
+            ({"real_blocks": [{"lambda": 2.0}, {"lambda": 1.0}],
+              "transform": [[1.0, 1.0], [1e-12, -1.0]]},
+             "error: the comparison is unresolved at tolerance 1e-09: f(A)'s "
+             "report fails on its exact spectrum and Perron vector too "
+             "(failed: eigvec_positive)\n"),
+            ({"real_blocks": [{"lambda": 2.0}, {"lambda": 1.999999999999}],
+              "transform": [[1.0, 1.0], [1.0, -1.0]]},
+             "error: the factored matrix lacks the strong Perron-Frobenius "
+             "property (failed: simple); the preservation comparison needs it "
+             "as a baseline\n"),
+        ],
+        ids=["perron-entry-1e-12", "gap-1e-12"],
+    )
+    def test_below_the_tolerance_is_refused(self, tmp_path, capsys, doc, err):
+        # exit 2, not DISAGREE: f(A)'s report cannot resolve either input
+        code = main(["verify", write_spec(tmp_path, doc), "--fn", "exp"])
+        assert (code, capsys.readouterr()) == (2, ("", err))
 
     def test_domain_checked_once(self, tmp_path, capsys, monkeypatch):
         from matfrob import cli, funcalc

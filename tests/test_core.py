@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from matfrob import (
-    DimensionMismatchError,
     PreconditionError,
     SingularMatrixError,
     Tolerance,
@@ -63,7 +62,9 @@ class TestMatInverse:
             mat_inverse(np.zeros((2, 2)))
 
     def test_nonsquare_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(
+            PreconditionError, match=r"^expected a square matrix, got shape \(2, 3\)$"
+        ):
             mat_inverse(np.ones((2, 3)))
 
     def test_condition_1e12_is_singular(self):
@@ -163,7 +164,9 @@ class TestEigenDecompose:
                 fn(np.array([[1j]]))
 
     def test_nonsquare_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(
+            PreconditionError, match=r"^expected a square matrix, got shape \(2, 3\)$"
+        ):
             eigen_decompose(np.ones((2, 3)))
 
 

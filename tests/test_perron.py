@@ -7,10 +7,9 @@ import pytest
 import matfrob.perron
 from matfrob import (
     Abs,
-    DimensionMismatchError,
-    DomainError,
     Exp,
     JordanSpec,
+    MatFrobError,
     Monomial,
     NonRealResultError,
     NotDefinedOnSpectrumError,
@@ -19,7 +18,9 @@ from matfrob import (
     PrincipalRoot,
     RealJordanFactors,
     SpectralFunction,
+    Tolerance,
     eventually_positive_check,
+    extract_diagonalizable_structure,
     frobenius_check,
     matrix_function,
     power_threshold,
@@ -165,7 +166,9 @@ class TestStrongPF:
         assert report.failed_conditions() == ["eigvec_positive"]
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(
+            PreconditionError, match=r"^expected a square matrix, got shape \(2, 3\)$"
+        ):
             strong_pf_check(np.ones((2, 3)))
 
     def test_report_serialization(self):
@@ -527,14 +530,52 @@ class TestPreservationTheorem:
         with pytest.raises(PreconditionError):
             verify_preservation_theorem(factors, Exp())
 
+    def test_comparison_below_the_tolerance_is_refused(self):
+        # A holds, but its Perron vector [1, 1e-12] is below what f(A)'s
+        # report resolves at 1e-9: a disagreement would be the checker's,
+        # so verify refuses, as an error that is not A's
+        spec = JordanSpec(real_blocks=((2.0, 1), (1.0, 1)))
+        _, factors = synthesize_matrix(spec, np.array([[1.0, 1.0], [1e-12, -1.0]]))
+        with pytest.raises(
+            MatFrobError,
+            match=r"^the comparison is unresolved at tolerance 1e-09: .*"
+            r"\(failed: eigvec_positive\)$",
+        ) as info:
+            verify_preservation_theorem(factors, Exp())
+        assert not isinstance(info.value, PreconditionError)
+        assert verify_preservation_theorem(factors, Exp(), Tolerance(1e-13)).theorem_consistent
+
+    def test_extracted_double_rho_is_not_simple(self):
+        # extraction keeps the two values rounding splits a double rho into,
+        # 2 +- 1 ulp: the cluster radius still refuses a simple rho
+        for seed in range(100):
+            q = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+            factors = extract_diagonalizable_structure(q @ np.diag([2.0, 2.0, 1.0]) @ q.T)
+            with pytest.raises(PreconditionError, match=r"\(failed: .*simple"):
+                verify_preservation_theorem(factors, Exp())
+
+    def test_resolvable_disagreement_is_reported(self, monkeypatch):
+        # the exact f(A) passes f(A)'s report, so a failing report is a
+        # disagreement, not a refusal
+        failing = strong_pf_check(np.diag([1.0, -1.0]))
+        monkeypatch.setattr(matfrob.perron, "strong_pf_check", lambda *args: failing)
+        res = verify_preservation_theorem(golden_factors(), Exp())
+        assert res.f_is_frobenius and not res.fa_strong_pf
+        assert not res.theorem_consistent
+
     def test_overflowing_factored_matrix_rejected(self):
-        # verify reads A's norm off R J R^-1, which overflows here
+        # R J R^-1 would overflow, but verify never forms it: the exact
+        # report refuses the tie between rho and -rho, and R's column at rho
+        # has a zero entry
         factors = RealJordanFactors(
             JordanSpec(real_blocks=((1.7e308, 1), (-1.7e308, 1))),
             np.array([[1.0, 1.0], [0.0, 1.0]]),
             np.array([[1.0, -1.0], [0.0, 1.0]]),
         )
-        with pytest.raises(PreconditionError, match="overflows float64"):
+        with pytest.raises(
+            PreconditionError,
+            match=r"\(failed: eigvec_positive, strictly_dominant\)$",
+        ):
             verify_preservation_theorem(factors, Monomial(1))
 
     def test_serialization(self):
@@ -585,7 +626,8 @@ FACTOR_KINDS = {
 
 
 class TestFactoredReport:
-    """verify reads A's report off its factors, with no eigendecomposition."""
+    """verify reads A's report off its factors: with no eigendecomposition
+    and no tolerance, only a cluster radius of 1e-6 * rho."""
 
     @staticmethod
     def factored_report(monkeypatch, factors):
@@ -599,7 +641,7 @@ class TestFactoredReport:
         )
         try:
             verify_preservation_theorem(factors, Monomial(1))
-        except PreconditionError:
+        except MatFrobError:  # A's refusal, or an unresolved f(A) after it
             pass
         monkeypatch.undo()
         return seen[0]
@@ -611,12 +653,34 @@ class TestFactoredReport:
             factors = FACTOR_KINDS[kind](rng)
             got = self.factored_report(monkeypatch, factors)
             want = strong_pf_check(factors.reconstruct())
+            assert got.overall == want.overall, factors.spec
+            assert got.cluster_radius == 1e-6 * got.rho
+            w = np.array(factors.spec.eigenvalue_multiset())
+            if (w[np.abs(w - got.rho) <= want.cluster_radius] != got.rho).any():
+                # an eigenvalue other than rho lies within the cluster
+                # radius: the decomposition folds it into rho, the report
+                # on the factors tells the two apart
+                assert not got.rho_in_spectrum or not got.simple
+                continue
             assert got.failed_conditions() == want.failed_conditions(), factors.spec
             assert (got.eigvec is None) == (want.eigvec is None)
             # a vector of rho's cluster is fixed only when rho is simple; in
             # a pair 2e-12 wide the decomposition's is off by about 1e-4
             if want.simple:
                 np.testing.assert_allclose(got.eigvec, want.eigvec, rtol=0, atol=1e-6)
+
+    def test_a_is_never_formed(self, monkeypatch):
+        # spectrum, vector and verdict come from the factors; only f(A) is
+        # formed, by matrix_function's product
+        rng = np.random.default_rng(47)
+        built = [kind(rng) for kind in FACTOR_KINDS.values()]
+        calls = count_calls(monkeypatch, "reconstruct", RealJordanFactors)
+        for factors in built:
+            try:
+                verify_preservation_theorem(factors, Exp())
+            except PreconditionError:
+                pass
+        assert calls == []
 
     def test_first_slot_of_each_block_is_an_eigenvector(self):
         rng = np.random.default_rng(37)
@@ -664,8 +728,11 @@ class TestScaledSpectra:
             for f in functions:
                 try:
                     res = verify_preservation_theorem(scaled, f)
-                except (NotDefinedOnSpectrumError, DomainError):
-                    continue  # DomainError: exp overflows float64 at c = 1e4
+                except MatFrobError as exc:  # exp overflows float64 at c = 1e4
+                    assert isinstance(exc, NotDefinedOnSpectrumError) or (
+                        str(exc).startswith("exp overflows float64")
+                    ), exc
+                    continue
                 assert res.theorem_consistent, (c, f.describe(), spec)
                 checked += 1
         assert checked >= 500
