@@ -11,6 +11,7 @@ machinery downstream relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,17 @@ def norm_inf(a) -> float:
         return float(np.max(np.abs(m)))
     with np.errstate(over="ignore"):
         return float(np.max(np.sum(np.abs(m), axis=1)))
+
+
+def _finite_norm(m: np.ndarray) -> float:
+    """||m||_inf; a row sum that overflows float64 raises PreconditionError."""
+    scale = norm_inf(m)
+    if not math.isfinite(scale):
+        raise PreconditionError(
+            "an absolute row or column sum of the matrix overflows float64 "
+            "(norm = inf); scale the matrix down"
+        )
+    return scale
 
 
 def max_abs(a) -> float:

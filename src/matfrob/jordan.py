@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     PreconditionError,
     SingularMatrixError,
+    _finite_norm,
     as_real_matrix,
     eigen_decompose,
     mat_inverse,
@@ -309,10 +310,12 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
 
     Only diagonalizable structure is read off raw entries; deciding true
     Jordan structure from floats is ill-posed. Every threshold is relative,
-    so none depends on the scale of A and no tolerance is read. Eigenvalues
-    closer than 1e-6 * ||A||_inf are clustered, and a cluster whose
-    eigenvector block has rank below its size (singular values under 1e-8
-    times the largest) raises PreconditionError telling the caller to
+    so none depends on the scale of A and no tolerance is read; a row sum
+    beyond float64, which no threshold could be measured against, raises
+    PreconditionError. Eigenvalues closer than 1e-6 * ||A||_inf are
+    clustered, and a cluster whose eigenvector block has rank below its
+    size (singular values under 1e-8 times the largest) raises
+    PreconditionError telling the caller to
     supply explicit factors via synthesize_matrix instead; so do an
     eigenvector basis of condition 1e12 or more and a reconstruction
     residual above 1e-6 * ||A||_inf. Each conjugate pair is read from its
@@ -324,8 +327,8 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
     """
     m = as_real_matrix(a)
     require_square(m)
+    scale = _finite_norm(m)
     w, v = eigen_decompose(m)
-    scale = norm_inf(m)
     for idx in _cluster_indices(w, 1e-6 * scale):
         if len(idx) == 1:
             continue

@@ -37,6 +37,7 @@ from .core import (
     PreconditionError,
     Tolerance,
     _eigenvalues,
+    _finite_norm,
     as_real_matrix,
     eigen_decompose,
     max_abs,
@@ -226,17 +227,6 @@ def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     )
 
 
-def _finite_norm(m: np.ndarray) -> float:
-    """||m||_inf; a row sum that overflows float64 raises PreconditionError."""
-    scale = norm_inf(m)
-    if not math.isfinite(scale):
-        raise PreconditionError(
-            "an absolute row or column sum of the matrix overflows float64 "
-            "(norm = inf); scale the matrix down"
-        )
-    return scale
-
-
 # about a thousand times the backward error of a decomposition's eigenvector
 _BORDERED_RESIDUAL_ULPS = 1024
 
@@ -349,68 +339,54 @@ def power_threshold(a, k_max: int) -> int | None:
     """Brute-force positivity threshold by explicit powers.
 
     Returns the smallest p such that A^k is entrywise strictly positive for
-    every p <= k <= k_max. Returns None unless A^(k_max - 1) and A^k_max
-    are both positive (for k_max = 1, unless A is): two consecutive
-    positive powers A^p, A^(p+1) prove eventual positivity, since every
-    m >= p^2 - p is a sum of copies of p and p + 1, while one positive
-    power alone does not (the even powers of -A can all be positive).
+    every p <= k <= k_max, or None unless A^(k_max - 1) and A^k_max are both
+    positive (for k_max = 1, unless A is): two consecutive positive powers
+    prove eventual positivity, one alone does not (the even powers of -A can
+    all be positive).
 
-    The loop stops early. Products of positive matrices are positive, so
-    once A^s, ..., A^(2s-1) are all positive, so is A^k for every k >= s:
-    k is a sum of exponents in [s, 2s-1]. The scan therefore returns s as
-    soon as it reaches k = 2s - 1 with no nonpositive power since s - 1,
-    and gives the same answer as scanning all k_max powers. It forms 2s - 1
-    products for a threshold s <= (k_max + 1) / 2.
+    The scan starts at the last non-positive power of two: A is squared while
+    the square A^(2t) is not positive and 2t <= k_max, and the scan forms
+    A^(t+1), A^(t+2), ... from A^t. A^t is not positive, so the last
+    non-positive exponent is at least t and the powers below t decide nothing.
 
-    It also decides half way. Let h = ceil(k_max / 2), where h + 2 < k_max
-    (k_max >= 6). If A^h is not positive, the last nonpositive power is at
-    least h, so the scan can no longer stop early, and the answer is None
-    exactly when A^(k_max - 1) or A^k_max is not positive. Each is one
-    product of A^h and A^(h-1), the powers in hand: k_max - 1 and k_max
-    split into (h - 1) + h and h + h for even k_max, and (h - 1) + (h - 1)
-    and (h - 1) + h for odd. A^(k_max - 1) is formed first, and if it is not
-    positive the answer is None without A^k_max: h + 1 products in all, or
-    h + 2 when only A^k_max is not positive. Otherwise the scan goes on as
-    before, which costs two extra products, and only for a threshold in
-    (h, k_max). Those two products associate differently from the scan's
-    A^(k_max - 1) A, so their signs can differ from the scan's only in
-    entries at rounding level. An input with A^h positive and no threshold
-    still forms k_max products, as does -P for a positive P when h is even.
+    The scan stops early. Products of positive matrices are positive, so once
+    A^s, ..., A^(2s-1) are all positive, so is A^k for every k >= s. The scan
+    therefore returns s when it reaches k = 2s - 1 with no non-positive power
+    since s - 1. A threshold s costs at most 2s - 1 products, and no
+    threshold at most k_max.
 
-    Positivity is scale invariant, so A is scaled once by a power of two
-    near ||A||_inf, making ||A^k||_inf non-increasing, and every 8th power,
-    A^(h-1) and A^h again against underflow. Powers of two scale exactly,
-    so every sign is the sign of the unscaled float64 product.
+    Positivity is scale invariant, so A is scaled by powers of two: to largest
+    entry in [0.5, 1), so that no row sum overflows, then to ||.||_inf in
+    [0.5, 1), making ||A^k||_inf non-increasing. Each square and every 8th
+    scanned power is scaled again against underflow. Powers of two scale
+    exactly, so every sign is the sign of the unscaled float64 product.
     """
     m = as_real_matrix(a)
     require_square(m)
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    half = (k_max + 1) // 2
-    if half + 2 >= k_max:  # the half-way decision would save no product
-        half = 0
-    base = _power_of_two_scaled(m, norm_inf(m))
-    power = np.eye(base.shape[0])
-    last_nonpositive = 0
-    for k in range(1, k_max + 1):
-        before = None
-        if k == half:  # A^(h-1) is kept for the one step that reaches A^h
-            before = power = _rescaled(power)
+    base = _rescaled(m)
+    base = _power_of_two_scaled(base, norm_inf(base))
+    power, last_nonpositive = np.eye(len(m)), 0
+    if not (base > 0.0).all():
+        power, last_nonpositive = base, 1
+        while 2 * last_nonpositive <= k_max:
+            square = _rescaled(power @ power)
+            if (square > 0.0).all():
+                break
+            power, last_nonpositive = square, 2 * last_nonpositive
+        if last_nonpositive >= k_max - 1:
+            return None
+    for k in range(last_nonpositive + 1, k_max + 1):
         power = power @ base
-        if k % 8 == 0 or k == half:
+        if k % 8 == 0:
             power = _rescaled(power)
         if not (power > 0.0).all():
             last_nonpositive = k
-            if k == half:
-                left = power if k_max % 2 == 0 else before
-                if not all((left @ right > 0.0).all() for right in (before, power)):
-                    return None
         elif k == 2 * last_nonpositive + 1:
             return last_nonpositive + 1
-    if last_nonpositive >= max(k_max - 1, 1):
-        return None
-    return last_nonpositive + 1
+    return None if last_nonpositive >= k_max - 1 else last_nonpositive + 1
 
 
 @dataclass(frozen=True)

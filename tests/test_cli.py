@@ -291,6 +291,11 @@ class TestRefusalTable:
 
     BIG = {"real_blocks": [{"lambda": 1000.0}]}
     OVERFLOW = "error: exp overflows float64 at (1000+0j)\n"
+    BIG_ROWS = {"rows": [[1.4e308, 7e307], [1.4e308, -7e307]]}
+    NORM_OVERFLOW = (
+        "error: an absolute row or column sum of the matrix overflows float64 "
+        "(norm = inf); scale the matrix down\n"
+    )
 
     @pytest.mark.parametrize(
         "argv, doc, err",
@@ -311,9 +316,12 @@ class TestRefusalTable:
              "error: root:3 is not conjugate-symmetric at (-1+0j): |f^(0)(conj "
              "lam) - conj f^(0)(lam)| = 1.732e+00 (limit 1.260e-09); root:3 is "
              "not real-valued on this spectrum\n"),
+            # every entry is finite, but the first row sum is not
+            (["apply", "--fn", "pow:1"], BIG_ROWS, NORM_OVERFLOW),
+            (["apply", "--fn", "poly:0,0.5"], BIG_ROWS, NORM_OVERFLOW),
         ],
         ids=["not-square", "defective", "ill-conditioned", "apply-overflow",
-             "verify-overflow", "non-real"],
+             "verify-overflow", "non-real", "norm-overflow", "norm-overflow-poly"],
     )
     def test_stderr_and_exit_code(self, tmp_path, capsys, argv, doc, err):
         code = main([argv[0], write_spec(tmp_path, doc), *argv[1:]])
@@ -1342,10 +1350,12 @@ def _evpos_benchmark_matrix(rng, n, control):
     return ((q * d) * np.concatenate([[2.0], others])) @ (q.T / d[:, None])
 
 
-class TestHalfWayThreshold:
-    """check-evpos --kmax 64 on a 30 x 30 control forms h + 1 = 33 products:
-    A^32 is not positive, and neither is A^63 = A^32 A^31, so A^64 is never
-    formed. Its planted twin stops early at 2s - 1."""
+class TestSquaringStartThreshold:
+    """check-evpos --kmax 64 on a 30 x 30 control forms 6 products: A^2, A^4,
+    ..., A^64 are all not positive, so the squares reach k_max and nothing is
+    left to scan. Its planted twin has threshold s = 9: three squares reach
+    A^8, A^16 is positive, and the scan forms A^9 ... A^17, 13 products where
+    the plain early-stop scan forms 2s - 1 = 17."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -1359,7 +1369,7 @@ class TestHalfWayThreshold:
         assert "eventually positive: NO" in out
         assert "power threshold: none up to k_max = 64" in out
         assert "DEFECT" not in out
-        assert len(products) == 33
+        assert len(products) == 6
 
     def test_planted_twin(self, tmp_path, capsys, products):
         a = _evpos_benchmark_matrix(np.random.default_rng(15), 30, control=False)
@@ -1368,4 +1378,4 @@ class TestHalfWayThreshold:
         assert code == 0
         s = int(re.search(r"power threshold: (\d+) ", out).group(1))
         assert "DEFECT" not in out
-        assert 2 * s - 1 < 64 and len(products) == 2 * s - 1
+        assert (s, len(products)) == (9, 13)

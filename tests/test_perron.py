@@ -274,26 +274,29 @@ class TestEventuallyPositive:
         assert np.max(y) == 1.0
 
 
-def full_scan_threshold(a, k_max):
-    """Reference: power_threshold's loop as it was before the early stop.
+def full_scan_thresholds(a, horizons):
+    """Reference: power_threshold's answer at each k_max in `horizons`, from
+    the loop as it was before the early stop.
 
-    It forms all k_max powers; its answer must equal the early-stopping one.
+    One scan forms every power up to the largest horizon, scaled as A is by a
+    power of two near ||A||_inf and every 8th power near its largest entry;
+    the answer at k_max reads the last non-positive power up to k_max.
     """
     m = np.asarray(a, dtype=float)
-    base = matfrob.perron._power_of_two_scaled(m, matfrob.core.norm_inf(m))
+    base = np.ldexp(m, -math.frexp(matfrob.core.norm_inf(m))[1])
     power = np.eye(base.shape[0])
-    last_nonpositive = 0
-    for k in range(1, k_max + 1):
+    nonpositive = [0]
+    for k in range(1, max(horizons) + 1):
         power = power @ base
         if k % 8 == 0:
-            power = matfrob.perron._power_of_two_scaled(
-                power, matfrob.core.max_abs(power)
-            )
+            power = np.ldexp(power, -math.frexp(matfrob.core.max_abs(power))[1])
         if not (power > 0.0).all():
-            last_nonpositive = k
-    if last_nonpositive >= max(k_max - 1, 1):
-        return None
-    return last_nonpositive + 1
+            nonpositive.append(k)
+    answers = {}
+    for k_max in horizons:
+        last = max(k for k in nonpositive if k <= k_max)
+        answers[k_max] = None if last >= max(k_max - 1, 1) else last + 1
+    return answers
 
 
 def threshold_reference_set():
@@ -316,40 +319,47 @@ class TestPowerThreshold:
     def products(self, monkeypatch):
         return count_power_products(monkeypatch)
 
-    def test_early_stop_matches_the_full_scan(self):
+    def test_early_stop_matches_the_full_scan(self, products):
+        # the squaring start's edges are a power of two and its neighbours;
+        # no case may form more products than the plain early-stop scan
         counts = {"finite": 0, "none": 0}
         for a in threshold_reference_set():
-            for k_max in (1, 2, 3, 4, 10, 64, 65):
-                expected = full_scan_threshold(a, k_max)
+            answers = full_scan_thresholds(a, (1, 2, 3, 4, 8, 9, 10, 33, 63, 64, 65))
+            for k_max, expected in answers.items():
+                products.clear()
                 assert power_threshold(a, k_max) == expected, (a, k_max)
+                plain = k_max if expected is None else min(2 * expected - 1, k_max)
+                assert len(products) <= plain, (a, k_max)
                 counts["none" if expected is None else "finite"] += 1
         assert counts["finite"] >= 3000 and counts["none"] >= 3000
 
     @pytest.mark.parametrize(
         "a, k_max, threshold, count",
         [
-            (B, 64, 4, 7),  # B^4 .. B^7 positive
+            (B, 64, 4, 7),  # B^2 is positive: one square, then B^2 .. B^7
             (np.ones((3, 3)), 64, 1, 1),
             (-B, 64, None, 64),  # only the even powers are positive
-            # A^h, h = ceil(k_max / 2), is not positive, so the answer is read
-            # off A^(k_max - 1) and A^k_max, formed from A^h and A^(h - 1);
-            # the first of them is not positive, so the second is never formed
-            (np.eye(2), 64, None, 33),
+            # I^2, I^4, ..., I^64 are not positive: six squares reach t = k_max,
+            # and nothing is left to scan
+            (np.eye(2), 64, None, 6),
             (B, 10**9, 4, 7),  # the horizon is never reached
             (B, 5, 4, 5),  # a threshold past (k_max + 1) / 2 scans to k_max
             # a threshold of exactly k_max still reads None
             (B, 4, None, 4),
-            (np.array([[0.0, 1.0], [1.0, 1.0]]), 2, None, 2),
+            # A^2 is positive, so A is the last non-positive power of two and
+            # t = 1 = k_max - 1 reads None without a scan
+            (np.array([[0.0, 1.0], [1.0, 1.0]]), 2, None, 1),
             (np.array([[0.0, 1.0], [1.0, 1.0]]), 3, 2, 3),
-            (np.eye(2), 65, None, 34),
-            (SWAP, 64, None, 33),
-            (np.eye(2), 6, None, 4),  # the smallest horizon that decides half way
-            (np.eye(2), 5, None, 5),  # h + 2 = k_max would save nothing
-            # (-B)^33 < 0 and (-B)^64 > 0, so (-B)^65 decides: h + 2 products
-            (-B, 65, None, 35),
-            # a threshold in (h, k_max) pays both half-way products on top,
-            # and is the full scan's answer
-            (MID_THRESHOLD, 64, 37, 66),
+            (np.eye(2), 65, None, 6),  # t = 64 = k_max - 1 reads None
+            (SWAP, 64, None, 6),
+            (np.eye(2), 6, None, 4),  # two squares reach t = 4; A^5 and A^6 follow
+            (np.eye(2), 5, None, 2),  # t = 4 = k_max - 1 reads None
+            # (-B)^2 is positive, so the scan starts at t = 1 and forms every
+            # power up to k_max: the plain scan's count
+            (-B, 65, None, 65),
+            # A^32 is the last non-positive power of two (A^64 is positive):
+            # six squares, then A^33 ... A^64
+            (MID_THRESHOLD, 64, 37, 38),
         ],
     )
     def test_product_count(self, products, a, k_max, threshold, count):
@@ -372,7 +382,7 @@ class TestPowerThreshold:
     def test_scale_invariance(self):
         assert power_threshold(5.0 * B, 16) == power_threshold(B, 16)
 
-    @pytest.mark.parametrize("c", [1e-150, 1e150])
+    @pytest.mark.parametrize("c", [1e-150, 1e150, 7e307])
     def test_extreme_scales(self, c):
         assert power_threshold(c * B, 64) == 4
 
