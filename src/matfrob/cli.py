@@ -93,7 +93,8 @@ def _load_as_factors(args, needs: str | None = None):
     A matrix document is read for its structure; it is refused when
     `needs` names a command that takes a factored form only. A factored
     form without a transform gets a random orthogonal one drawn from
-    --seed, which must be nonnegative. The JSON object is dropped once
+    --seed, which must be nonnegative. A factored form's matrix is None:
+    only a caller that reads A forms it. The JSON object is dropped once
     parsed, so it does not live through the O(n^3) work.
     """
     doc = load_document(args.input)
@@ -118,8 +119,7 @@ def _load_as_factors(args, needs: str | None = None):
     if transform is None:
         rng = np.random.default_rng(args.seed)
         transform = random_orthogonal(rng, spec.total_dimension)
-    a, factors = synthesize_matrix(spec, transform)
-    return name, a, factors
+    return name, None, synthesize_matrix(spec, transform)
 
 
 def cmd_check_pf(args) -> int:
@@ -207,6 +207,8 @@ def cmd_apply(args) -> int:
     fa = matrix_function(factors, f, tol)
     deviation = None
     if args.oracle:  # before f(A) is emitted, so a refusal emits nothing
+        if a is None:
+            a = factors.reconstruct()
         with np.errstate(over="ignore", invalid="ignore"):
             oracle = taylor_oracle(a, f)
         if not np.isfinite(oracle).all():
@@ -249,8 +251,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    name, a, factors = _load_as_factors(args, "synthesize")
-    _emit_document(args, matrix_document(name, a))
+    name, _, factors = _load_as_factors(args, "synthesize")
+    _emit_document(args, matrix_document(name, factors.reconstruct()))
     _report_line(
         args,
         f"transform condition estimate: {condition_estimate(factors.transform):.6e}",
@@ -329,10 +331,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except MatFrobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (MatFrobError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -160,6 +160,14 @@ def _number(x, where: str) -> float:
     return value
 
 
+def _block_size(item: dict, where: str) -> int:
+    """A block object's size, 1 when absent; a positive integer."""
+    size = item.get("size", 1)
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise DocumentFormatError(f"{where}.size must be a positive integer, got {size!r}")
+    return size
+
+
 def _parse_rows(rows, field: str) -> np.ndarray:
     """The list of rows in a document's `field` as a float array.
 
@@ -222,23 +230,14 @@ def parse_spec_document(doc: dict) -> tuple[str, JordanSpec, np.ndarray | None]:
         if not isinstance(item, dict):
             raise DocumentFormatError(f"real_blocks[{i}] must be an object")
         lam = _number(item.get("lambda"), f"real_blocks[{i}].lambda")
-        size = item.get("size", 1)
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise DocumentFormatError(
-                f"real_blocks[{i}].size must be a positive integer, got {size!r}"
-            )
-        real_blocks.append((lam, size))
+        real_blocks.append((lam, _block_size(item, f"real_blocks[{i}]")))
     complex_blocks = []
     for i, item in enumerate(cplx_raw):
         if not isinstance(item, dict):
             raise DocumentFormatError(f"complex_blocks[{i}] must be an object")
         re = _number(item.get("re"), f"complex_blocks[{i}].re")
         im = _number(item.get("im"), f"complex_blocks[{i}].im")
-        size = item.get("size", 1)
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise DocumentFormatError(
-                f"complex_blocks[{i}].size must be a positive integer, got {size!r}"
-            )
+        size = _block_size(item, f"complex_blocks[{i}]")
         if not im > 0.0:
             raise DocumentFormatError(
                 f"complex_blocks[{i}] must use the representative with positive "

@@ -6,12 +6,14 @@ conjugate eigenvalue pair, a block built from 2x2 rotation-scaling blocks.
 Keeping the factors explicit is what lets the function calculus act per
 block instead of re-deriving structure from raw entries.
 
-J and f(J) come from the same block builders, J being f(J) at f(z) = z;
-RealJordanFactors.reconstruct alone forms A = R J R^{-1}.
+J and f(J) come from the same block builders, J being f(J) at f(z) = z.
+RealJordanFactors.reconstruct alone forms A = R J R^{-1}, and refuses an A
+with an entry beyond float64; synthesize_matrix returns the factors only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -71,12 +73,12 @@ class JordanSpec:
         cplx = tuple((complex(lam), int(n)) for lam, n in self.complex_blocks)
         object.__setattr__(self, "real_blocks", real)
         object.__setattr__(self, "complex_blocks", cplx)
-        for _, n in real:
+        for lam, n in real + cplx:
             if n < 1:
                 raise ValueError(f"block size must be at least 1, got {n}")
-        for lam, n in cplx:
-            if n < 1:
-                raise ValueError(f"block size must be at least 1, got {n}")
+            if not cmath.isfinite(lam):
+                raise ValueError(f"eigenvalue must be finite, got {lam}")
+        for lam, _ in cplx:
             if not lam.imag > 0.0:
                 raise ValueError(
                     "complex pair representative must have positive imaginary "
@@ -228,22 +230,29 @@ class RealJordanFactors:
         object.__setattr__(self, "transform_inverse", ri)
 
     def reconstruct(self) -> np.ndarray:
-        """The real matrix these factors represent."""
-        return self.transform @ assemble_real_jordan(self.spec) @ self.transform_inverse
+        """The real matrix these factors represent; an entry beyond float64
+        raises PreconditionError."""
+        j = assemble_real_jordan(self.spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = self.transform @ j @ self.transform_inverse
+        if not np.isfinite(a).all():
+            raise PreconditionError(
+                "A = R J R^-1 overflows float64; scale the eigenvalues or the "
+                "transform down"
+            )
+        return a
 
 
-def synthesize_matrix(
-    spec: JordanSpec, transform
-) -> tuple[np.ndarray, RealJordanFactors]:
-    """Build A = R J R^{-1} from a spec and an invertible real transform.
+def synthesize_matrix(spec: JordanSpec, transform) -> RealJordanFactors:
+    """Factors of A = R J R^{-1} from a spec and an invertible real transform.
 
     One SVD of the transform decides singularity (a smallest singular
     value of zero, or subnormal, whose inverse can overflow) and
     conditioning: above 1e6 an IllConditionedWarning is issued, and above
     1e8 the synthesis is refused with PreconditionError, since the factored
     structure would be numerically meaningless. No bound depends on the
-    scale of R: cR gives the same A for every c != 0. An A with an entry
-    beyond float64 raises PreconditionError too.
+    scale of R: cR gives the same A for every c != 0. A itself is not
+    formed here: reconstruct() forms it.
     """
     r = as_real_matrix(transform)
     require_square(r)
@@ -270,15 +279,7 @@ def synthesize_matrix(
             stacklevel=2,
         )
     r_inv = np.linalg.inv(r)
-    factors = RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = factors.reconstruct()
-    if not np.isfinite(a).all():
-        raise PreconditionError(
-            "A = R J R^-1 overflows float64; scale the eigenvalues or the "
-            "transform down"
-        )
-    return a, factors
+    return RealJordanFactors(spec=spec, transform=r, transform_inverse=r_inv)
 
 
 def _cluster_indices(w: np.ndarray, radius: float) -> list[list[int]]:

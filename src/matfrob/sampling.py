@@ -111,5 +111,4 @@ def random_pf_factors(
     n = spec.total_dimension
     q = positive_column_orthogonal(rng, n)
     d = rng.uniform(*SCALE_RANGE, size=n)
-    _, factors = synthesize_matrix(spec, q * d)
-    return factors
+    return synthesize_matrix(spec, q * d)

@@ -233,7 +233,7 @@ def test_criterion_8_conjugate_asymmetry_is_rejected():
     # i*z fails at order 0; z with f' = 1 + i only at order 1, which a
     # size-2 pair block needs
     spec = JordanSpec(real_blocks=((2.0, 1),), complex_blocks=((1 + 1j, 2),))
-    _, factors = synthesize_matrix(spec, np.eye(5))
+    factors = synthesize_matrix(spec, np.eye(5))
     scalar_flags = matrix_raises = 0
     for f in (SkewedDerivatives(), TiltedSlope()):
         scalar_flags += not frobenius_check(f, spec).conjugate_symmetry

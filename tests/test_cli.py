@@ -9,6 +9,7 @@ import pytest
 from matfrob import cli, documents, perron
 from matfrob.cli import main
 from matfrob.documents import dump_document, load_document, parse_matrix_document
+from matfrob.jordan import RealJordanFactors
 
 from helpers import (
     count_calls,
@@ -257,7 +258,9 @@ class TestOverflowingInput:
 
 
 class TestOverflowingSynthesis:
-    """A = R J R^-1 beyond float64 exits 2 by name, with no numpy warning."""
+    """Factors whose A = R J R^-1 is beyond float64 exit 2 by name, with no
+    numpy warning. Only synthesize forms A; the other commands refuse what
+    they compute from the factors."""
 
     SPEC = {
         "real_blocks": [{"lambda": 1.7e308}, {"lambda": -1.7e308}],
@@ -265,12 +268,21 @@ class TestOverflowingSynthesis:
     }
 
     @pytest.mark.parametrize(
-        "command",
-        [["synthesize"], ["apply", "--fn", "exp"], ["apply", "--fn", "pow:1"],
-         ["verify", "--fn", "pow:1"]],
+        "command, err",
+        [
+            (["synthesize"],
+             "A = R J R^-1 overflows float64; scale the eigenvalues or the "
+             "transform down"),
+            (["apply", "--fn", "exp"], "exp overflows float64 at (1.7e+308+0j)"),
+            (["apply", "--fn", "pow:1"], "f(A) overflows float64 for f = pow:1"),
+            (["verify", "--fn", "pow:1"],
+             "the factored matrix lacks the strong Perron-Frobenius property "
+             "(failed: eigvec_positive, strictly_dominant); the preservation "
+             "comparison needs it as a baseline"),
+        ],
         ids=["synthesize", "apply-exp", "apply-pow", "verify"],
     )
-    def test_refused_by_name(self, tmp_path, capsys, command):
+    def test_refused_by_name(self, tmp_path, capsys, command, err):
         out = tmp_path / "out.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -279,7 +291,7 @@ class TestOverflowingSynthesis:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "A = R J R^-1 overflows float64" in captured.err
+        assert captured.err == f"error: {err}\n"
         assert not out.exists()
 
 
@@ -326,6 +338,17 @@ class TestRefusalTable:
     def test_stderr_and_exit_code(self, tmp_path, capsys, argv, doc, err):
         code = main([argv[0], write_spec(tmp_path, doc), *argv[1:]])
         assert (code, capsys.readouterr().err) == (2, err)
+
+
+def test_allocation_beyond_the_address_space_exits_2(tmp_path, capsys):
+    # verify draws a 10**8 x 10**8 random transform: 8e16 bytes, beyond a
+    # 47-bit address space, so the allocation fails at once
+    doc = {"real_blocks": [{"lambda": 1.0, "size": 10**8}]}
+    code = main(["verify", write_spec(tmp_path, doc), "--fn", "exp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
 
 
 class TestUnreadableDocuments:
@@ -1159,6 +1182,32 @@ class TestSingularValueDecompositionCounts:
     def test_synthesize(self, tmp_path, capsys, counted):
         assert main(["synthesize", write_spec(tmp_path, PF_SPEC)]) == 0
         assert len(counted) == 2
+
+
+class TestWhereAIsFormed:
+    """A = R J R^-1 is formed only where it is read: synthesize emits it and
+    apply --oracle feeds it to the series. verify and a plain apply work on
+    the factors alone."""
+
+    SPEC = {
+        "real_blocks": [{"lambda": 3.0}, {"lambda": 1.0}, {"lambda": -0.5}],
+        "transform": [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, 0.0, -1.0]],
+    }
+
+    @pytest.mark.parametrize(
+        "command, formed",
+        [
+            (["verify", "--fn", "exp"], 0),
+            (["apply", "--fn", "exp"], 0),
+            (["apply", "--fn", "exp", "--oracle"], 1),
+            (["synthesize"], 1),
+        ],
+        ids=["verify", "apply", "apply-oracle", "synthesize"],
+    )
+    def test_reconstruct_calls(self, tmp_path, capsys, monkeypatch, command, formed):
+        calls = count_calls(monkeypatch, "reconstruct", RealJordanFactors)
+        assert main([command[0], write_spec(tmp_path, self.SPEC), *command[1:]]) == 0
+        assert len(calls) == formed
 
 
 class TestOneEvidencePass:

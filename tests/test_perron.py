@@ -536,7 +536,7 @@ class TestPreservationTheorem:
 
     def test_precondition_enforced(self):
         spec = JordanSpec(real_blocks=((2.0, 1), (1.0, 1)))
-        _, factors = synthesize_matrix(spec, np.eye(2))
+        factors = synthesize_matrix(spec, np.eye(2))
         with pytest.raises(PreconditionError):
             verify_preservation_theorem(factors, Exp())
 
@@ -545,7 +545,7 @@ class TestPreservationTheorem:
         # report resolves at 1e-9: a disagreement would be the checker's,
         # so verify refuses, as an error that is not A's
         spec = JordanSpec(real_blocks=((2.0, 1), (1.0, 1)))
-        _, factors = synthesize_matrix(spec, np.array([[1.0, 1.0], [1e-12, -1.0]]))
+        factors = synthesize_matrix(spec, np.array([[1.0, 1.0], [1e-12, -1.0]]))
         with pytest.raises(
             MatFrobError,
             match=r"^the comparison is unresolved at tolerance 1e-09: .*"
@@ -596,7 +596,7 @@ class TestPreservationTheorem:
 
 def _orthogonal_transform(rng):
     spec = random_pf_spec(rng, max_dim=8, max_block_size=3)
-    return synthesize_matrix(spec, random_orthogonal(rng, spec.total_dimension))[1]
+    return synthesize_matrix(spec, random_orthogonal(rng, spec.total_dimension))
 
 
 def _negative_dominant(rng):
@@ -604,7 +604,7 @@ def _negative_dominant(rng):
     (rho, _), *rest = spec.real_blocks
     spec = JordanSpec(((-rho, 1), *rest), spec.complex_blocks)
     q = positive_column_orthogonal(rng, spec.total_dimension)
-    return synthesize_matrix(spec, q)[1]
+    return synthesize_matrix(spec, q)
 
 
 def _pair_above_rho(rng):
@@ -614,7 +614,7 @@ def _pair_above_rho(rng):
     lam = 1.2 * rho * complex(math.cos(theta), math.sin(theta))
     spec = JordanSpec(spec.real_blocks, ((lam, 1), *spec.complex_blocks))
     q = positive_column_orthogonal(rng, spec.total_dimension)
-    return synthesize_matrix(spec, q)[1]
+    return synthesize_matrix(spec, q)
 
 
 def _pair_beside_rho(rng):
@@ -623,7 +623,7 @@ def _pair_beside_rho(rng):
     # like a positive Perron vector
     spec = JordanSpec(((0.3, 1),), ((1 + 1e-12j, 1),))
     q = positive_column_orthogonal(rng, 3)[:, [1, 0, 2]]
-    return synthesize_matrix(spec, q)[1]
+    return synthesize_matrix(spec, q)
 
 
 FACTOR_KINDS = {
@@ -715,7 +715,7 @@ class TestFactoredReport:
             (rho, _), *rest = spec.real_blocks
             spec = JordanSpec(((rho, 2), *rest), spec.complex_blocks)
             q = positive_column_orthogonal(rng, spec.total_dimension)
-            _, factors = synthesize_matrix(spec, q * rng.uniform(0.6, 1.8, q.shape[0]))
+            factors = synthesize_matrix(spec, q * rng.uniform(0.6, 1.8, q.shape[0]))
             with pytest.raises(PreconditionError, match=r"\(failed: simple\)"):
                 verify_preservation_theorem(factors, Exp())
 
@@ -819,7 +819,7 @@ class TestDerivativeReality:
         verdict = frobenius_check(SkewedDerivatives(), spec)
         assert not verdict.conjugate_symmetry
         assert verdict.conjugate_witness == (1.5 + 0j, 0, 3.0)
-        _, factors = synthesize_matrix(spec, np.eye(3))
+        factors = synthesize_matrix(spec, np.eye(3))
         with pytest.raises(NonRealResultError, match="not conjugate-symmetric"):
             matrix_function(factors, SkewedDerivatives())
 
@@ -838,7 +838,7 @@ class TestOneTableForBothSides:
         # f' = 1 + i as the matrix side does
         spec = JordanSpec(((3.0, 1),), ((0.5 + 0.5j, 2),))
         q = positive_column_orthogonal(np.random.default_rng(0), 5)
-        res = verify_preservation_theorem(synthesize_matrix(spec, q)[1], TiltedSlope())
+        res = verify_preservation_theorem(synthesize_matrix(spec, q), TiltedSlope())
         assert res.theorem_consistent
         assert not res.frobenius.conjugate_symmetry
         assert res.frobenius.conjugate_witness[:2] == (0.5 + 0.5j, 1)
@@ -849,7 +849,7 @@ class TestOneTableForBothSides:
         # to |f| = 1.4e-2 at the pair: both sides measure it against 100
         spec = JordanSpec(((100.0, 1),), ((0.01 + 0.01j, 1),))
         q = positive_column_orthogonal(np.random.default_rng(0), 3)
-        res = verify_preservation_theorem(synthesize_matrix(spec, q)[1], ShiftedOffAxis())
+        res = verify_preservation_theorem(synthesize_matrix(spec, q), ShiftedOffAxis())
         assert res.theorem_consistent
         assert res.f_is_frobenius and res.fa_strong_pf
 
@@ -857,7 +857,7 @@ class TestOneTableForBothSides:
         calls = count_scalar_calls(monkeypatch)
         spec = JordanSpec(((2.0, 1), (-1.0, 2)), ((0.5 + 0.5j, 3),))
         q = positive_column_orthogonal(np.random.default_rng(0), 9)
-        res = verify_preservation_theorem(synthesize_matrix(spec, q)[1], Exp())
+        res = verify_preservation_theorem(synthesize_matrix(spec, q), Exp())
         assert res.theorem_consistent
         lams = [2.0, -1.0, 0.5 + 0.5j, 0.5 - 0.5j]
         orders = [1, 2, 3, 3]

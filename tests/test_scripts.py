@@ -3,6 +3,7 @@ from collections import Counter
 from pathlib import Path
 
 import matfrob.perron
+from matfrob.jordan import RealJordanFactors
 
 from helpers import count_calls, count_scalar_calls
 
@@ -68,6 +69,7 @@ exp(B) eventually positive: yes (power threshold 1)
 
 def test_preservation_suite_table(capsys, monkeypatch):
     reports = count_calls(monkeypatch, "_perron_report", matfrob.perron)
+    formed = count_calls(monkeypatch, "reconstruct", RealJordanFactors)
     suite = runpy.run_path(str(SCRIPTS / "run_preservation_suite.py"))
     code = suite["main"](["--trials", "500", "--seed", "1"])
     assert code == 0
@@ -75,6 +77,8 @@ def test_preservation_suite_table(capsys, monkeypatch):
     # f's domain is checked before A's report, so the 284 skipped root:2
     # trials build none
     assert len(reports) <= 7148
+    # every verdict is read off the factors: A itself is never formed
+    assert formed == []
 
 
 def test_power_threshold_demo_output(capsys):
