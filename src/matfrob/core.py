@@ -1,12 +1,15 @@
 """Dense linear algebra foundation with an explicit tolerance policy.
 
 Matrices are plain 2-d float64 numpy arrays; complex values appear only
-in what a decomposition returns. Every function here is pure; arguments
-are never mutated. Every threshold is relative (to a value, a norm or a
-largest singular value), so none depends on the scale of the input.
-Eigen decomposition goes through the real LAPACK path so complex
-eigenvalues arrive in exactly conjugate pairs, which the real-Jordan
-machinery downstream relies on.
+in what a decomposition returns. square_matrix is the one validator:
+every public function of the package that takes a matrix calls it at its
+entry, so all of them, mat_inverse and condition_estimate included,
+refuse malformed input with the same class and message. Every function
+here is pure; arguments are never mutated. Every threshold is relative
+(to a value, a norm or a largest singular value), so none depends on the
+scale of the input. Eigen decomposition goes through the real LAPACK
+path so complex eigenvalues arrive in exactly conjugate pairs, which the
+real-Jordan machinery downstream relies on.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ __all__ = [
     "PreconditionError",
     "Tolerance",
     "DEFAULT_TOL",
-    "as_real_matrix",
-    "require_square",
+    "square_matrix",
     "norm_inf",
     "max_abs",
     "mat_inverse",
@@ -66,32 +68,33 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_real_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a 2-d float64 array.
+def square_matrix(a) -> np.ndarray:
+    """`a` as a nonempty, finite, square float64 matrix.
 
-    Complex input is accepted only when its imaginary part is exactly zero.
-    Another shape or a non-finite entry raises PreconditionError.
+    The one validator: every public function taking a matrix calls it at
+    its entry. It refuses, in this order, an array that is not 2-d, a
+    nonzero imaginary part (ValueError; a zero one is dropped), a
+    non-finite entry, named by position, a non-square shape and the empty
+    matrix; the other refusals raise PreconditionError.
     """
     m = np.asarray(a)
+    if m.ndim != 2:
+        raise PreconditionError(f"expected a 2-d matrix, got shape {m.shape}")
     if np.iscomplexobj(m):
         if np.any(m.imag != 0.0):
             raise ValueError("expected a real matrix, got nonzero imaginary entries")
         m = m.real
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise PreconditionError(f"expected a 2-d matrix, got shape {m.shape}")
-    bad = np.argwhere(~np.isfinite(m))
-    if bad.size:
-        i, j = bad[0]
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
         raise PreconditionError(
             f"expected a finite matrix, got {m[i, j]} at [{i}, {j}]"
         )
+    if m.shape[0] != m.shape[1]:
+        raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise PreconditionError(f"expected a nonempty matrix, got shape {m.shape}")
     return m
-
-
-def require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
 
 
 def norm_inf(a) -> float:
@@ -129,8 +132,7 @@ def max_abs(a) -> float:
 
 def condition_estimate(a) -> float:
     """2-norm condition number of a real matrix; inf when singular."""
-    m = as_real_matrix(a)
-    require_square(m)
+    m = square_matrix(a)
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] == 0.0:
         return float("inf")
@@ -144,10 +146,7 @@ def mat_inverse(a) -> np.ndarray:
     ``1e-12 * largest singular value``, so "numerically singular" rather
     than exactly so: a condition number of 1e12 or more, at any scale.
     """
-    m = np.asarray(a)
-    if m.ndim != 2:
-        raise PreconditionError(f"expected a 2-d matrix, got shape {m.shape}")
-    require_square(m)
+    m = square_matrix(a)
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
         raise SingularMatrixError(
@@ -159,15 +158,6 @@ def mat_inverse(a) -> np.ndarray:
         raise SingularMatrixError(str(exc)) from exc
 
 
-def _decomposable(a) -> np.ndarray:
-    """`a` as a nonempty square float64 matrix, ready for LAPACK's eigensolver."""
-    m = as_real_matrix(a)
-    require_square(m)
-    if m.shape[0] == 0:
-        raise PreconditionError("cannot decompose an empty matrix")
-    return m
-
-
 def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of a square matrix.
 
@@ -177,7 +167,7 @@ def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     slots, positive imaginary part first, with conjugate eigenvectors.
     Eigenvector columns have unit 2-norm.
     """
-    m = _decomposable(a)
+    m = square_matrix(a)
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -185,13 +175,13 @@ def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(w, dtype=complex), np.asarray(v, dtype=complex)
 
 
-def _eigenvalues(a) -> np.ndarray:
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
     """The ``w`` of eigen_decompose alone; LAPACK skips the eigenvector pass.
 
     The same real path, so complex pairs are exact conjugates; the values
-    may differ from eigen_decompose's in the last digits.
+    may differ from eigen_decompose's in the last digits. `m` is a
+    square_matrix result: the caller validated it.
     """
-    m = _decomposable(a)
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

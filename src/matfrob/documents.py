@@ -40,8 +40,6 @@ from .funcalc import (
 from .jordan import JordanSpec
 
 __all__ = [
-    "DocumentFormatError",
-    "ExpressionError",
     "load_document",
     "dump_document",
     "is_matrix_document",
@@ -53,14 +51,6 @@ __all__ = [
 ]
 
 
-class DocumentFormatError(MatFrobError):
-    """Document text or structure does not match the expected format."""
-
-
-class ExpressionError(MatFrobError):
-    """Function expression does not parse."""
-
-
 def _unique_keys(path, pairs: list) -> dict:
     """object_pairs_hook for load_document: a JSON object with a repeated
     key raises, instead of keeping the key's last value."""
@@ -69,7 +59,7 @@ def _unique_keys(path, pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise DocumentFormatError(f"{path}: duplicate key {key!r}")
+                raise MatFrobError(f"{path}: duplicate key {key!r}")
             seen.add(key)
     return obj
 
@@ -84,21 +74,21 @@ def load_document(path) -> dict:
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
-        raise DocumentFormatError(f"cannot read {path}: {exc}") from exc
+        raise MatFrobError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DocumentFormatError(
+        raise MatFrobError(
             f"{path}: not UTF-8 text at byte offset {exc.start}: {exc.reason}"
         ) from exc
     try:
         doc = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
     except json.JSONDecodeError as exc:
-        raise DocumentFormatError(
+        raise MatFrobError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:  # int digit limit, nesting depth
-        raise DocumentFormatError(f"{path}: {str(exc).partition(';')[0]}") from exc
+        raise MatFrobError(f"{path}: {str(exc).partition(';')[0]}") from exc
     if not isinstance(doc, dict):
-        raise DocumentFormatError(f"{path}: top level must be a JSON object")
+        raise MatFrobError(f"{path}: top level must be a JSON object")
     return doc
 
 
@@ -153,10 +143,10 @@ def _as_float(x) -> float:
 
 def _number(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise DocumentFormatError(f"{where}: expected a number, got {x!r}")
+        raise MatFrobError(f"{where}: expected a number, got {x!r}")
     value = _as_float(x)
     if not math.isfinite(value):
-        raise DocumentFormatError(f"{where}: expected a finite number, got {x!r}")
+        raise MatFrobError(f"{where}: expected a finite number, got {x!r}")
     return value
 
 
@@ -164,7 +154,7 @@ def _block_size(item: dict, where: str) -> int:
     """A block object's size, 1 when absent; a positive integer."""
     size = item.get("size", 1)
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise DocumentFormatError(f"{where}.size must be a positive integer, got {size!r}")
+        raise MatFrobError(f"{where}.size must be a positive integer, got {size!r}")
     return size
 
 
@@ -176,15 +166,15 @@ def _parse_rows(rows, field: str) -> np.ndarray:
     row holding some other type is walked entry by entry, to name it.
     """
     if not isinstance(rows, list) or not rows:
-        raise DocumentFormatError(f"{field} must be a nonempty list of lists")
+        raise MatFrobError(f"{field} must be a nonempty list of lists")
     width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
-            raise DocumentFormatError(f"{field}[{i}] must be a nonempty list")
+            raise MatFrobError(f"{field}[{i}] must be a nonempty list")
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise DocumentFormatError(
+            raise MatFrobError(
                 f"{field}[{i}] has {len(row)} entries, expected {width}"
             )
         if not set(map(type, row)) <= _NUMBER_TYPES:
@@ -198,7 +188,7 @@ def _parse_rows(rows, field: str) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]
-        raise DocumentFormatError(
+        raise MatFrobError(
             f"{field}[{i}][{j}]: expected a finite number, got {rows[i][j]!r}"
         )
     return data
@@ -208,7 +198,7 @@ def parse_matrix_document(doc: dict) -> tuple[str, np.ndarray]:
     """Validate a matrix document; returns (name, square check left to caller)."""
     name = doc.get("name", "matrix")
     if not isinstance(name, str):
-        raise DocumentFormatError(f"name must be a string, got {name!r}")
+        raise MatFrobError(f"name must be a string, got {name!r}")
     return name, _parse_rows(doc.get("rows"), "rows")
 
 
@@ -220,26 +210,26 @@ def parse_spec_document(doc: dict) -> tuple[str, JordanSpec, np.ndarray | None]:
     """Validate a factored-form document: (name, spec, optional transform)."""
     name = doc.get("name", "synthesized")
     if not isinstance(name, str):
-        raise DocumentFormatError(f"name must be a string, got {name!r}")
+        raise MatFrobError(f"name must be a string, got {name!r}")
     real_raw = doc.get("real_blocks", [])
     cplx_raw = doc.get("complex_blocks", [])
     if not isinstance(real_raw, list) or not isinstance(cplx_raw, list):
-        raise DocumentFormatError("real_blocks and complex_blocks must be lists")
+        raise MatFrobError("real_blocks and complex_blocks must be lists")
     real_blocks = []
     for i, item in enumerate(real_raw):
         if not isinstance(item, dict):
-            raise DocumentFormatError(f"real_blocks[{i}] must be an object")
+            raise MatFrobError(f"real_blocks[{i}] must be an object")
         lam = _number(item.get("lambda"), f"real_blocks[{i}].lambda")
         real_blocks.append((lam, _block_size(item, f"real_blocks[{i}]")))
     complex_blocks = []
     for i, item in enumerate(cplx_raw):
         if not isinstance(item, dict):
-            raise DocumentFormatError(f"complex_blocks[{i}] must be an object")
+            raise MatFrobError(f"complex_blocks[{i}] must be an object")
         re = _number(item.get("re"), f"complex_blocks[{i}].re")
         im = _number(item.get("im"), f"complex_blocks[{i}].im")
         size = _block_size(item, f"complex_blocks[{i}]")
         if not im > 0.0:
-            raise DocumentFormatError(
+            raise MatFrobError(
                 f"complex_blocks[{i}] must use the representative with positive "
                 f"imaginary part, got im = {im}"
             )
@@ -249,16 +239,16 @@ def parse_spec_document(doc: dict) -> tuple[str, JordanSpec, np.ndarray | None]:
             real_blocks=tuple(real_blocks), complex_blocks=tuple(complex_blocks)
         )
     except ValueError as exc:
-        raise DocumentFormatError(str(exc)) from exc
+        raise MatFrobError(str(exc)) from exc
     transform = None
     if "transform" in doc and doc["transform"] is not None:
         transform = _parse_rows(doc["transform"], "transform")
         if transform.shape[0] != transform.shape[1]:
-            raise DocumentFormatError(
+            raise MatFrobError(
                 f"transform must be square, got shape {transform.shape}"
             )
         if transform.shape[0] != spec.total_dimension:
-            raise DocumentFormatError(
+            raise MatFrobError(
                 f"transform is {transform.shape[0]}x{transform.shape[1]} but the "
                 f"blocks have total dimension {spec.total_dimension}"
             )
@@ -294,18 +284,18 @@ def _parse_atom(text: str) -> SpectralFunction:
         try:
             return Monomial(int(text[4:]))
         except ValueError as exc:
-            raise ExpressionError(f"bad power atom {text!r}: {exc}") from exc
+            raise MatFrobError(f"bad power atom {text!r}: {exc}") from exc
     if text.startswith("root:"):
         try:
             return PrincipalRoot(int(text[5:]))
         except ValueError as exc:
-            raise ExpressionError(f"bad root atom {text!r}: {exc}") from exc
+            raise MatFrobError(f"bad root atom {text!r}: {exc}") from exc
     if text.startswith("poly:"):
         try:
             return Polynomial(tuple(float(p) for p in text[5:].split(",")))
         except ValueError as exc:
-            raise ExpressionError(f"bad polynomial atom {text!r}: {exc}") from exc
-    raise ExpressionError(
+            raise MatFrobError(f"bad polynomial atom {text!r}: {exc}") from exc
+    raise MatFrobError(
         f"unknown function atom {text!r} (expected exp, abs, pow:P, root:P or "
         "poly:c0,c1,...)"
     )
@@ -314,12 +304,12 @@ def _parse_atom(text: str) -> SpectralFunction:
 def parse_function_expression(text: str) -> SpectralFunction:
     """Parse the mini-language: weighted atoms joined by '+'."""
     if not isinstance(text, str) or not text.strip():
-        raise ExpressionError("empty function expression")
+        raise MatFrobError("empty function expression")
     parsed: list[tuple[float, SpectralFunction]] = []
     for term in _split_terms(text):
         term = term.strip()
         if not term:
-            raise ExpressionError(f"empty term in function expression {text!r}")
+            raise MatFrobError(f"empty term in function expression {text!r}")
         weight = 1.0
         atom_text = term
         if "*" in term:
@@ -327,7 +317,7 @@ def parse_function_expression(text: str) -> SpectralFunction:
             try:
                 weight = float(left.strip())
             except ValueError as exc:
-                raise ExpressionError(f"bad weight {left.strip()!r}") from exc
+                raise MatFrobError(f"bad weight {left.strip()!r}") from exc
             atom_text = right
         parsed.append((weight, _parse_atom(atom_text)))
     if len(parsed) == 1 and parsed[0][0] == 1.0:
@@ -335,4 +325,4 @@ def parse_function_expression(text: str) -> SpectralFunction:
     try:
         return ScaledSum(tuple(parsed))
     except ValueError as exc:
-        raise ExpressionError(f"bad function expression {text!r}: {exc}") from exc
+        raise MatFrobError(f"bad function expression {text!r}: {exc}") from exc

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MatFrobError, Tolerance, as_real_matrix, norm_inf, require_square
+from .core import DEFAULT_TOL, MatFrobError, Tolerance, norm_inf, square_matrix
 from .jordan import (
     JordanSpec,
     RealJordanFactors,
@@ -414,8 +414,7 @@ def taylor_oracle(a, f: SpectralFunction) -> np.ndarray:
     ORACLE_TERMS. A node without taylor_coefficients (root, abs) raises
     MatFrobError.
     """
-    m = as_real_matrix(a)
-    require_square(m)
+    m = square_matrix(a)
     if isinstance(f, ScaledSum):
         return sum(w * taylor_oracle(m, g) for w, g in f.terms)
     terms, squarings = ORACLE_TERMS, 0

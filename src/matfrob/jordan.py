@@ -26,12 +26,11 @@ from .core import (
     PreconditionError,
     SingularMatrixError,
     _finite_norm,
-    as_real_matrix,
     eigen_decompose,
     mat_inverse,
     max_abs,
     norm_inf,
-    require_square,
+    square_matrix,
 )
 
 __all__ = [
@@ -211,9 +210,8 @@ class RealJordanFactors:
     transform_inverse: np.ndarray
 
     def __post_init__(self) -> None:
-        r = as_real_matrix(self.transform).copy()
-        ri = as_real_matrix(self.transform_inverse).copy()
-        require_square(r)
+        r = square_matrix(self.transform).copy()
+        ri = square_matrix(self.transform_inverse).copy()
         n = self.spec.total_dimension
         if r.shape != (n, n) or ri.shape != (n, n):
             raise PreconditionError(
@@ -254,8 +252,7 @@ def synthesize_matrix(spec: JordanSpec, transform) -> RealJordanFactors:
     scale of R: cR gives the same A for every c != 0. A itself is not
     formed here: reconstruct() forms it.
     """
-    r = as_real_matrix(transform)
-    require_square(r)
+    r = square_matrix(transform)
     if r.shape[0] != spec.total_dimension:
         raise PreconditionError(
             f"transform is {r.shape[0]}x{r.shape[1]} but the spec has total "
@@ -326,8 +323,7 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
     rounding split: it becomes two real eigenvalues at its real part, with
     the same two spanning columns.
     """
-    m = as_real_matrix(a)
-    require_square(m)
+    m = square_matrix(a)
     scale = _finite_norm(m)
     w, v = eigen_decompose(m)
     for idx in _cluster_indices(w, 1e-6 * scale):

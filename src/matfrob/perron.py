@@ -38,11 +38,10 @@ from .core import (
     Tolerance,
     _eigenvalues,
     _finite_norm,
-    as_real_matrix,
     eigen_decompose,
     max_abs,
     norm_inf,
-    require_square,
+    square_matrix,
 )
 from .funcalc import (
     NonRealResultError,
@@ -214,8 +213,7 @@ def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     input, verify_preservation_theorem decides the five conditions on the
     factors, with no tolerance and without forming A.
     """
-    m = as_real_matrix(a)
-    require_square(m)
+    m = square_matrix(a)
     scale = _finite_norm(m)
     w = _eigenvalues(m)
     ones = np.ones(len(w))
@@ -311,8 +309,7 @@ def eventually_positive_check(
     Where a side's rho is not simple or its solve fails (see _perron_vector),
     that side's matrix is fully decomposed.
     """
-    m = as_real_matrix(a)
-    require_square(m)
+    m = square_matrix(a)
     scale_t = _finite_norm(m.T)
     r1 = strong_pf_check(m, tol)
     w = np.array(r1.spectrum)
@@ -361,8 +358,7 @@ def power_threshold(a, k_max: int) -> int | None:
     scanned power is scaled again against underflow. Powers of two scale
     exactly, so every sign is the sign of the unscaled float64 product.
     """
-    m = as_real_matrix(a)
-    require_square(m)
+    m = square_matrix(a)
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")

@@ -9,12 +9,12 @@ from matfrob import (
     Tolerance,
 )
 from matfrob.core import (
-    as_real_matrix,
     condition_estimate,
     eigen_decompose,
     mat_inverse,
     max_abs,
     norm_inf,
+    square_matrix,
 )
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
@@ -173,17 +173,17 @@ class TestEigenDecompose:
 class TestValidators:
     def test_as_real_rejects_imag(self):
         with pytest.raises(ValueError):
-            as_real_matrix(np.array([[1.0 + 1e-16j]]))
+            square_matrix(np.array([[1.0 + 1e-16j]]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_as_real_rejects_non_finite(self, value):
         m = np.ones((2, 3))
         m[1, 2] = value
         with pytest.raises(PreconditionError, match=r"finite.*\[1, 2\]"):
-            as_real_matrix(m)
+            square_matrix(m)
 
     def test_as_real_accepts_zero_imag(self):
-        m = as_real_matrix(np.array([[2.0 + 0j]]))
+        m = square_matrix(np.array([[2.0 + 0j]]))
         assert m.dtype == np.float64
 
     def test_norm_inf_is_row_sum(self):

@@ -9,14 +9,13 @@ from matfrob import (
     Abs,
     Exp,
     JordanSpec,
+    MatFrobError,
     Monomial,
     Polynomial,
     PrincipalRoot,
     ScaledSum,
 )
 from matfrob.documents import (
-    DocumentFormatError,
-    ExpressionError,
     dump_document,
     is_matrix_document,
     is_spec_document,
@@ -65,7 +64,7 @@ class TestMatrixDocuments:
 
     def test_non_string_name_rejected(self, tmp_path, capsys):
         doc = {"name": 5, "rows": [[1.0]]}
-        with pytest.raises(DocumentFormatError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             parse_matrix_document(doc)
         assert str(exc.value) == "name must be a string, got 5"
         path = tmp_path / "m.json"
@@ -79,34 +78,34 @@ class TestMatrixDocuments:
         assert a.shape == (2, 3)
 
     def test_ragged_rejected(self):
-        with pytest.raises(DocumentFormatError, match="entries"):
+        with pytest.raises(MatFrobError, match="entries"):
             parse_matrix_document({"rows": [[1, 2], [3]]})
 
     def test_non_numeric_rejected(self):
-        with pytest.raises(DocumentFormatError, match="number"):
+        with pytest.raises(MatFrobError, match="number"):
             parse_matrix_document({"rows": [[1, "x"]]})
-        with pytest.raises(DocumentFormatError, match="number"):
+        with pytest.raises(MatFrobError, match="number"):
             parse_matrix_document({"rows": [[True]]})
 
     def test_first_bad_entry_named(self):
-        with pytest.raises(DocumentFormatError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             parse_matrix_document({"rows": [[1, 2], [3, None], ["x", 4]]})
         assert str(exc.value) == "rows[1]: expected a number, got None"
-        with pytest.raises(DocumentFormatError, match=r"rows\[0\]: .*\[1\]"):
+        with pytest.raises(MatFrobError, match=r"rows\[0\]: .*\[1\]"):
             parse_matrix_document({"rows": [[1, [1]]]})
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_rejected(self, tmp_path, literal):
         path = tmp_path / "m.json"
         path.write_text('{"rows": [[1, 2, 3], [4, 5, %s]]}' % literal)
-        with pytest.raises(DocumentFormatError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             parse_matrix_document(load_document(path))
         assert str(exc.value) == (
             f"rows[1][2]: expected a finite number, got {float(literal)!r}"
         )
 
     def test_integer_beyond_float_range_rejected(self):
-        with pytest.raises(DocumentFormatError, match=r"rows\[0\]\[1\]: .*finite"):
+        with pytest.raises(MatFrobError, match=r"rows\[0\]\[1\]: .*finite"):
             parse_matrix_document({"rows": [[1, -(10**400)]]})
 
     def test_float_subclass_entries_accepted(self):
@@ -114,27 +113,27 @@ class TestMatrixDocuments:
         assert a.tolist() == [[0.5, 2.0]]
 
     def test_empty_rejected(self):
-        with pytest.raises(DocumentFormatError):
+        with pytest.raises(MatFrobError):
             parse_matrix_document({"rows": []})
-        with pytest.raises(DocumentFormatError):
+        with pytest.raises(MatFrobError):
             parse_matrix_document({"rows": [[]]})
-        with pytest.raises(DocumentFormatError):
+        with pytest.raises(MatFrobError):
             parse_matrix_document({})
 
     def test_bad_json_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"rows": [[1, ]]}')
-        with pytest.raises(DocumentFormatError, match="line 1"):
+        with pytest.raises(MatFrobError, match="line 1"):
             load_document(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DocumentFormatError, match="cannot read"):
+        with pytest.raises(MatFrobError, match="cannot read"):
             load_document(tmp_path / "absent.json")
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]")
-        with pytest.raises(DocumentFormatError, match="object"):
+        with pytest.raises(MatFrobError, match="object"):
             load_document(path)
 
 
@@ -144,14 +143,14 @@ class TestLoadRefusals:
     def test_non_utf8_named_by_path_and_offset(self, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{\x00}\x00")
-        with pytest.raises(DocumentFormatError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             load_document(path)
         assert str(exc.value).startswith(f"{path}: not UTF-8 text at byte offset 0")
 
     def test_non_utf8_offset_past_valid_prefix(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
-        with pytest.raises(DocumentFormatError, match="byte offset 13"):
+        with pytest.raises(MatFrobError, match="byte offset 13"):
             load_document(path)
 
     def test_utf8_names_read(self, tmp_path):
@@ -171,7 +170,7 @@ class TestLoadRefusals:
     def test_duplicate_key_named(self, tmp_path, text, key):
         path = tmp_path / "dup.json"
         path.write_text(text)
-        with pytest.raises(DocumentFormatError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             load_document(path)
         assert str(exc.value) == f"{path}: duplicate key {key!r}"
 
@@ -257,7 +256,7 @@ class TestSpecDocuments:
 
     def test_lower_half_representative_rejected(self):
         doc = {"complex_blocks": [{"re": 1.0, "im": -1.0, "size": 1}]}
-        with pytest.raises(DocumentFormatError, match="positive"):
+        with pytest.raises(MatFrobError, match="positive"):
             parse_spec_document(doc)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -275,23 +274,23 @@ class TestSpecDocuments:
     )
     def test_non_finite_rejected(self, value, doc, where):
         text = json.dumps(doc).replace('"V"', json.dumps(value))
-        with pytest.raises(DocumentFormatError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             parse_spec_document(json.loads(text))
         assert str(exc.value).startswith(f"{where}: expected a finite number")
 
     def test_real_axis_pair_rejected(self):
         doc = {"complex_blocks": [{"re": 1.0, "im": 0.0, "size": 1}]}
-        with pytest.raises(DocumentFormatError, match="positive"):
+        with pytest.raises(MatFrobError, match="positive"):
             parse_spec_document(doc)
 
     def test_bad_sizes_rejected(self):
-        with pytest.raises(DocumentFormatError, match="size"):
+        with pytest.raises(MatFrobError, match="size"):
             parse_spec_document({"real_blocks": [{"lambda": 1.0, "size": 0}]})
-        with pytest.raises(DocumentFormatError, match="size"):
+        with pytest.raises(MatFrobError, match="size"):
             parse_spec_document({"real_blocks": [{"lambda": 1.0, "size": 1.5}]})
 
     def test_missing_lambda_rejected(self):
-        with pytest.raises(DocumentFormatError, match="lambda"):
+        with pytest.raises(MatFrobError, match="lambda"):
             parse_spec_document({"real_blocks": [{"size": 2}]})
 
     @pytest.mark.parametrize(
@@ -306,7 +305,7 @@ class TestSpecDocuments:
     def test_transform_errors_name_the_transform(self, transform, message):
         # a factored-form document has no rows field to point at
         doc = {"real_blocks": [{"lambda": 1.0}, {"lambda": 2.0}], "transform": transform}
-        with pytest.raises(DocumentFormatError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             parse_spec_document(doc)
         assert str(exc.value) == message
 
@@ -315,10 +314,10 @@ class TestSpecDocuments:
             "real_blocks": [{"lambda": 1.0}, {"lambda": 2.0}],
             "transform": [[1.0]],
         }
-        with pytest.raises(DocumentFormatError, match="dimension"):
+        with pytest.raises(MatFrobError, match="dimension"):
             parse_spec_document(doc)
         doc["transform"] = [[1.0, 0.0]]
-        with pytest.raises(DocumentFormatError, match="square"):
+        with pytest.raises(MatFrobError, match="square"):
             parse_spec_document(doc)
 
     @pytest.mark.parametrize(
@@ -349,7 +348,7 @@ class TestSpecDocuments:
         ],
     )
     def test_refusal_named(self, tmp_path, capsys, doc, message):
-        with pytest.raises(DocumentFormatError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             parse_spec_document(doc)
         assert str(exc.value) == message
         path = tmp_path / "s.json"
@@ -358,7 +357,7 @@ class TestSpecDocuments:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_empty_spec_rejected(self):
-        with pytest.raises(DocumentFormatError):
+        with pytest.raises(MatFrobError):
             parse_spec_document({"real_blocks": [], "complex_blocks": []})
 
 
@@ -399,11 +398,11 @@ class TestExpressionParsing:
          "sin", "exp + + exp", "q*exp", "pow:2.5"],
     )
     def test_rejects(self, bad):
-        with pytest.raises(ExpressionError):
+        with pytest.raises(MatFrobError):
             parse_function_expression(bad)
 
     def test_empty_trailing_term_named(self):
-        with pytest.raises(ExpressionError) as exc:
+        with pytest.raises(MatFrobError) as exc:
             parse_function_expression("exp +")
         assert str(exc.value) == "empty term in function expression 'exp +'"
 
@@ -417,7 +416,7 @@ class TestExpressionParsing:
         ],
     )
     def test_non_finite_parameter_named(self, text, message):
-        with pytest.raises(ExpressionError, match=message):
+        with pytest.raises(MatFrobError, match=message):
             parse_function_expression(text)
 
     def test_format_parse_round_trip(self):

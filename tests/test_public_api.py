@@ -1,10 +1,11 @@
-"""The names `matfrob` exports, and the README example that uses them."""
+"""The names `matfrob` exports, and the README examples that use them."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import matfrob
@@ -68,6 +69,8 @@ FOLDED = {
     "NonDifferentiableError": "funcalc",
     "ConjugateSymmetryError": "funcalc",
     "NotEntireError": "funcalc",
+    "DocumentFormatError": "documents",
+    "ExpressionError": "documents",
 }
 
 
@@ -185,3 +188,17 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert "AGREE" in capsys.readouterr().out
+
+
+def test_readme_verify_line_agrees(tmp_path, capsys):
+    # the factored-form document and the verify line, as the README gives them
+    from matfrob.cli import main
+
+    text = README.read_text()
+    (doc,) = [b for b in re.findall(r"```json\n(.*?)```", text, re.S) if "real_blocks" in b]
+    (line,) = re.findall(r"^matfrob verify planted\.json .*?(?=\s+#)", text, re.M)
+    (tmp_path / "planted.json").write_text(doc)
+    argv = shlex.split(line)[1:]
+    argv[1] = str(tmp_path / "planted.json")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("scalar and matrix verdicts AGREE\n")
