@@ -39,6 +39,7 @@ from .documents import (
 from .funcalc import NotDefinedOnSpectrumError, matrix_function, taylor_oracle
 from .jordan import extract_diagonalizable_structure, synthesize_matrix
 from .perron import (
+    _fmt_complex,
     eventually_positive_check,
     power_threshold,
     strong_pf_check,
@@ -165,7 +166,7 @@ def _evpos_cluster(report) -> str:
         return f"{text}, no other eigenvalue"
     z = m.spectrum[others[0]]
     return (
-        f"{text}, nearest other eigenvalue {z.real:.12g}{z.imag:+.12g}j "
+        f"{text}, nearest other eigenvalue {_fmt_complex(z)} "
         f"at distance {dist[others[0]]:.6g}"
     )
 

@@ -19,7 +19,8 @@ by matrix_function here, or by perron.frobenius_check, whose failures
 then form f(A).
 
 taylor_oracle, the one f(A) oracle, uses only power series and matrix
-products, so it cross-checks matrix_function for entire f.
+products, so it cross-checks matrix_function for entire f. It alone knows
+each entire node's series, so a node's one evaluation hook is _derivative.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class SpectralFunction:
 
     Subclasses implement ``_derivative(z, order)``, where order 0 is the
     value, override ``defined_at`` when not defined on all of C, and
-    ``max_derivative_order`` when not smooth. Entire nodes additionally
-    provide ``taylor_coefficients``.
+    ``max_derivative_order`` when not smooth. Series rules live in
+    taylor_oracle, not on the nodes.
     """
 
     def defined_at(self, z: complex) -> bool:
@@ -103,11 +104,6 @@ class SpectralFunction:
         if cap is not None and order > cap:
             raise MatFrobError(f"{self.describe()} has no derivative of order {order}")
         return _hook(self, z, order)
-
-    def taylor_coefficients(self, terms: int) -> np.ndarray:
-        raise MatFrobError(
-            f"{self.describe()} is not entire; the series oracle does not apply"
-        )
 
     def _derivative(self, z: complex, order: int) -> complex:
         """f^(order)(z), with z in the domain and order within the cap."""
@@ -151,12 +147,6 @@ class Monomial(SpectralFunction):
         for i in range(order):
             coeff *= self.power - i
         return coeff * z ** (self.power - order)
-
-    def taylor_coefficients(self, terms: int) -> np.ndarray:
-        c = np.zeros(terms)
-        if self.power < terms:
-            c[self.power] = 1.0
-        return c
 
 
 @dataclass(frozen=True)
@@ -226,13 +216,6 @@ class Exp(SpectralFunction):
     def _derivative(self, z: complex, order: int) -> complex:
         return cmath.exp(z)
 
-    def taylor_coefficients(self, terms: int) -> np.ndarray:
-        c = np.empty(terms)
-        c[0] = 1.0
-        for k in range(1, terms):
-            c[k] = c[k - 1] / k
-        return c
-
 
 @dataclass(frozen=True)
 class Polynomial(SpectralFunction):
@@ -262,12 +245,6 @@ class Polynomial(SpectralFunction):
         for c in reversed(cs):
             acc = acc * z + c
         return acc
-
-    def taylor_coefficients(self, terms: int) -> np.ndarray:
-        c = np.zeros(terms)
-        upto = min(terms, len(self.coeffs))
-        c[:upto] = self.coeffs[:upto]
-        return c
 
 
 @dataclass(frozen=True)
@@ -302,12 +279,6 @@ class ScaledSum(SpectralFunction):
         # deriv has checked every term's domain and the smallest cap; an
         # overflow still names the term
         return sum(w * _hook(f, z, order) for w, f in self.terms)
-
-    def taylor_coefficients(self, terms: int) -> np.ndarray:
-        acc = np.zeros(terms)
-        for w, f in self.terms:
-            acc = acc + w * f.taylor_coefficients(terms)
-        return acc
 
 
 def defined_on_spectrum(
@@ -408,24 +379,29 @@ def taylor_oracle(a, f: SpectralFunction) -> np.ndarray:
 
     Each series is summed by Horner. A ScaledSum is the weighted sum of its
     terms' oracles. Exp scales and squares (Higham, Functions of Matrices,
-    2008, sec. 10.3): the ORACLE_TERMS-term series at A / 2^s, with
+    2008, sec. 10.3): the ORACLE_TERMS-term series of 1/k! at A / 2^s, with
     ||A||_inf / 2^s <= 1/2, squared s times. Monomial and Polynomial take
-    their degree + 1 terms, which is exact; any other node takes
-    ORACLE_TERMS. A node without taylor_coefficients (root, abs) raises
-    MatFrobError.
+    their degree + 1 coefficients, which is exact. Any other node (root,
+    abs) is not entire and raises MatFrobError.
     """
     m = square_matrix(a)
     if isinstance(f, ScaledSum):
         return sum(w * taylor_oracle(m, g) for w, g in f.terms)
-    terms, squarings = ORACLE_TERMS, 0
+    squarings = 0
     if isinstance(f, Exp):
         squarings = max(0, math.frexp(norm_inf(m))[1] + 1)
         m = np.ldexp(m, -squarings)
+        coeffs = [1.0]
+        for k in range(1, ORACLE_TERMS):
+            coeffs.append(coeffs[-1] / k)
     elif isinstance(f, Monomial):
-        terms = f.power + 1
+        coeffs = [0.0] * f.power + [1.0]
     elif isinstance(f, Polynomial):
-        terms = len(f.coeffs)
-    coeffs = np.asarray(f.taylor_coefficients(terms), dtype=float)
+        coeffs = f.coeffs
+    else:
+        raise MatFrobError(
+            f"{f.describe()} is not entire; the series oracle does not apply"
+        )
     eye = np.eye(m.shape[0])
     out = coeffs[-1] * eye
     for c in coeffs[-2::-1]:

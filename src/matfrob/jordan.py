@@ -213,10 +213,11 @@ class RealJordanFactors:
         r = square_matrix(self.transform).copy()
         ri = square_matrix(self.transform_inverse).copy()
         n = self.spec.total_dimension
-        if r.shape != (n, n) or ri.shape != (n, n):
-            raise PreconditionError(
-                f"transform shape {r.shape} does not match spec dimension {n}"
-            )
+        for name, m in (("transform", r), ("transform_inverse", ri)):
+            if m.shape != (n, n):
+                raise PreconditionError(
+                    f"{name} shape {m.shape} does not match spec dimension {n}"
+                )
         resid = max_abs(r @ ri - np.eye(n))
         if resid > 1e-6 * max_abs(r) * max_abs(ri):
             raise ValueError(

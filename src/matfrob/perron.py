@@ -555,7 +555,7 @@ class PreservationResult:
         lines.append(self.frobenius.format_text())
         lines.append("matrix side:")
         if self.f_of_a_error is not None:
-            lines.append(f"  f(A) could not be formed as a real matrix:")
+            lines.append("  f(A) could not be formed as a real matrix:")
             lines.append(f"  {self.f_of_a_error}")
             lines.append("  strong Perron-Frobenius property: DOES NOT HOLD")
         else:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import matfrob
 from matfrob import (
     Abs,
     Exp,
@@ -215,34 +216,73 @@ class TestDeriv:
                     assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+def series_head(f, n, c=0.25):
+    """f's first n Taylor coefficients, read off the first row of
+    taylor_oracle at c*N, N the n x n nilpotent shift: entry (0, k) is
+    a_k c^k. At c = 1/4, exp takes no squarings, and dividing by a power
+    of two is exact."""
+    return taylor_oracle(c * np.eye(n, k=1), f)[0] / c ** np.arange(n)
+
+
 class TestTaylor:
+    """The series taylor_oracle sums for each entire node."""
+
     def test_exp_coefficients(self):
-        c = Exp().taylor_coefficients(6)
-        np.testing.assert_allclose(c, [1 / math.factorial(k) for k in range(6)])
+        np.testing.assert_allclose(
+            series_head(Exp(), 6), [1 / math.factorial(k) for k in range(6)],
+            rtol=1e-15,
+        )
 
     def test_monomial_padding(self):
-        np.testing.assert_array_equal(Monomial(2).taylor_coefficients(5), [0, 0, 1, 0, 0])
-        np.testing.assert_array_equal(Monomial(7).taylor_coefficients(3), [0, 0, 0])
+        np.testing.assert_array_equal(series_head(Monomial(2), 5), [0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(series_head(Monomial(7), 3), [0, 0, 0])
 
     def test_polynomial_truncation(self):
-        np.testing.assert_array_equal(
-            Polynomial((1.0, 2.0, 3.0)).taylor_coefficients(2), [1, 2]
-        )
+        np.testing.assert_array_equal(series_head(Polynomial((1.0, 2.0, 3.0)), 2), [1, 2])
 
     def test_scaled_sum(self):
         f = ScaledSum(((2.0, Exp()), (1.0, Monomial(1))))
-        np.testing.assert_allclose(f.taylor_coefficients(3), [2.0, 3.0, 1.0])
+        np.testing.assert_array_equal(series_head(f, 3), [2.0, 3.0, 1.0])
 
     def test_non_entire_rejected(self):
         with pytest.raises(MatFrobError, match="^root:2 is not entire"):
-            PrincipalRoot(2).taylor_coefficients(4)
+            taylor_oracle(np.eye(4), PrincipalRoot(2))
         with pytest.raises(MatFrobError, match="^abs is not entire"):
-            Abs().taylor_coefficients(4)
+            taylor_oracle(np.eye(4), Abs())
 
     def test_sum_names_its_non_entire_term(self):
         f = ScaledSum(((1.0, Exp()), (2.0, PrincipalRoot(2))))
         with pytest.raises(MatFrobError, match="^root:2 is not entire"):
-            f.taylor_coefficients(4)
+            taylor_oracle(np.eye(4), f)
+
+    def test_every_exported_node_is_in_the_chain(self):
+        # one instance of each exported node, with whether it is entire: a
+        # new node must be listed here, and an entire one left out of
+        # taylor_oracle's chain is refused and fails
+        nodes = {
+            Exp: (Exp(), True),
+            Monomial: (Monomial(3), True),
+            Polynomial: (Polynomial((0.5, 1.0, 0.25)), True),
+            ScaledSum: (ScaledSum(((2.0, Exp()), (-1.0, Monomial(2)))), True),
+            PrincipalRoot: (PrincipalRoot(2), False),
+            Abs: (Abs(), False),
+        }
+        exported = {
+            c for c in (getattr(matfrob, name) for name in matfrob.__all__)
+            if isinstance(c, type) and issubclass(c, SpectralFunction)
+        }
+        assert exported - {SpectralFunction} == set(nodes)
+        a = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]]) / 4.0
+        for f, entire in nodes.values():
+            if entire:
+                oracle = taylor_oracle(a, f)
+                assert np.isfinite(oracle).all(), f.describe()
+                fa = matrix_function(extract_diagonalizable_structure(a), f)
+                np.testing.assert_allclose(oracle, fa, rtol=1e-12, atol=1e-14)
+            else:
+                message = f"^{f.describe()} is not entire; the series oracle does not apply$"
+                with pytest.raises(MatFrobError, match=message):
+                    taylor_oracle(a, f)
 
 
 class TestNonFiniteParameters:

@@ -351,6 +351,10 @@ class TestFactors:
         message = r"^transform shape \(2, 2\) does not match spec dimension 3$"
         with pytest.raises(PreconditionError, match=message):
             RealJordanFactors(spec, np.eye(2), np.eye(2))
+        spec = JordanSpec(real_blocks=((2.0, 1), (1.0, 1)))
+        message = r"^transform_inverse shape \(3, 3\) does not match spec dimension 2$"
+        with pytest.raises(PreconditionError, match=message):
+            RealJordanFactors(spec, np.eye(2), np.eye(3))
 
 
 class TestExtract:

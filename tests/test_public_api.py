@@ -170,7 +170,7 @@ def test_domain_is_one_method():
 
 
 def test_each_node_has_one_evaluation_hook():
-    # order 0 is the value; entirety shows only as taylor_coefficients
+    # order 0 is the value; series rules live in taylor_oracle, not on nodes
     nodes = [matfrob.SpectralFunction] + [
         c for c in vars(matfrob).values()
         if isinstance(c, type) and issubclass(c, matfrob.SpectralFunction)
@@ -178,7 +178,7 @@ def test_each_node_has_one_evaluation_hook():
     assert len(set(nodes)) == 7
     for node in nodes:
         assert "_derivative" in vars(node), node.__name__
-        for retired in ("_eval", "_deriv", "is_entire"):
+        for retired in ("_eval", "_deriv", "is_entire", "taylor_coefficients"):
             assert not hasattr(node, retired), (node.__name__, retired)
 
 
