@@ -136,30 +136,26 @@ def cmd_check_pf(args) -> int:
 def _evpos_evidence(report) -> str:
     """The eigenvalue verdict with the numbers behind it, for a DEFECT line.
 
-    YES carries the smaller of the two sides' dominance margins, skipping a
-    side with no eigenvalue outside rho's cluster; NO names each failed
-    condition with its side.
+    YES carries the dominance margin, which both sides share, unless no
+    eigenvalue lies outside rho's cluster; NO names each failed condition
+    with its side.
     """
     sides = {"matrix": report.matrix_report, "transpose": report.transpose_report}
     if report.overall:
-        margins = [r.dominance_margin for r in sides.values()]
-        margins = [m for m in margins if m is not None]
-        if margins:
-            return f"YES (dominance margin {min(margins):.6g})"
+        margin = report.matrix_report.dominance_margin
+        if margin is not None:
+            return f"YES (dominance margin {margin:.6g})"
         return "YES (no eigenvalue outside rho's cluster)"
     failed = [f"{side} {c}" for side, r in sides.items() for c in r.failed_conditions()]
     return f"NO (failed: {', '.join(failed)})"
 
 
 def _evpos_cluster(report) -> str:
-    """rho, its cluster radius on each side, and the eigenvalue nearest rho
-    apart from rho itself (the nearest of all when rho is not one), for a
-    DEFECT line."""
-    m, t = report.matrix_report, report.transpose_report
-    text = (
-        f"rho = {m.rho:.15g}, cluster radius {m.cluster_radius:.6g} (matrix) "
-        f"and {t.cluster_radius:.6g} (transpose)"
-    )
+    """rho, its cluster radius (one for both sides), and the eigenvalue
+    nearest rho apart from rho itself (the nearest of all when rho is not
+    one), for a DEFECT line."""
+    m = report.matrix_report
+    text = f"rho = {m.rho:.15g}, cluster radius {m.cluster_radius:.6g}"
     dist = np.abs(np.array(m.spectrum) - m.rho)
     others = np.argsort(dist, kind="stable")[int(m.rho_in_spectrum):]
     if not others.size:

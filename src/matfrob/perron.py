@@ -15,19 +15,23 @@ spectrum, relative to the size of f there, and verify_preservation_theorem
 forms f(A) from the same table and the same conjugate-symmetry failures,
 and compares the two verdicts.
 
-A matrix given by its entries gets its eigenvalues alone from LAPACK, and
-rho's right and left eigenvectors each from one real bordered solve; it is
-fully decomposed only when rho is not simple or a solve fails its
-residual test (_perron_vector). A matrix given by its real Jordan factors
-A = R J R^{-1} is neither decomposed nor formed: its spectrum is the
-spec's and R's entries are given, so its report is decided on them with
-no tolerance, only a cluster radius of 1e-6 * rho.
+Four of the five conditions read the spectrum alone, so each matrix gets
+one spectral record that decides them (_spectral_record), and each side
+only attaches rho's vector (_attach_vector). A matrix given by its entries
+gets its eigenvalues alone from LAPACK, a scale max(||A||_inf, ||A||_1)
+that A^T shares, and rho's right and left eigenvectors each from one real
+bordered solve; it is fully decomposed only when rho is not simple or a
+solve fails its residual test (_perron_vector). A matrix given by its real
+Jordan factors A = R J R^{-1} is neither decomposed nor formed: its record
+is decided on the spec's eigenvalues at scale rho with no tolerance, and
+exactly where a float64 modulus ties with rho, and its vector is R's column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,96 +137,103 @@ class PerronReport:
         return "\n".join(lines)
 
 
-def _perron_report(w, eigvec_at, scale: float, tol: Tolerance) -> PerronReport:
-    """The five conditions on the spectrum w of a matrix with norm `scale`.
+def _spectral_record(w, scale: float, eps: float) -> tuple[PerronReport, int]:
+    """The four conditions that read the spectrum w alone, decided once.
 
-    ``eigvec_at(idx, simple)`` returns an eigenvector for w[idx], the
-    eigenvalue nearest rho; it is called only when that eigenvalue equals
-    rho, and ``simple`` says whether it is alone in rho's cluster. rho, its
-    distance to the spectrum and the dominance margin are measured against
-    ``tol.rel_eps * scale``, and the eigenvector, scaled to largest entry 1,
-    against ``tol.rel_eps``, so these verdicts are invariant under positive
-    scaling of the matrix. ``eigvec`` is that vector's real part; an
-    imaginary part beyond ``tol.rel_eps`` fails ``eigvec_positive``.
+    Returns rho's report without its vector (``overall`` is the AND of the
+    four; _attach_vector completes it) and the index of the eigenvalue
+    nearest rho. rho, its distance to w and the dominance margin are
+    measured against eps * scale, with `scale` the matrix's size, so no
+    verdict moves under positive scaling. Simplicity and dominance are
+    decided against rho's cluster, every eigenvalue within cluster_radius
+    of rho, so a numerically split multiple eigenvalue is still one. With
+    eps = 0 (exact input), an eigenvalue whose float64 modulus ties with
+    rho is dominated when re^2 + im^2 < rho^2 in rational arithmetic.
     """
-    negligible = tol.rel_eps * scale
+    negligible = eps * scale
     rho = float(np.max(np.abs(w)))
-    rho_positive = rho > negligible
-
     with np.errstate(over="ignore"):  # inf at -rho when 2 rho overflows
         dist = np.abs(w - rho)
-    idx = int(np.argmin(dist))
-    rho_in_spectrum = bool(dist[idx] <= negligible)
-
+    index = int(np.argmin(dist))
+    in_spectrum = bool(dist[index] <= negligible)
     cluster_radius = 1e-6 * scale
     in_cluster = dist <= cluster_radius
-    simple = rho_in_spectrum and int(np.sum(in_cluster)) == 1
-
-    eigvec = None
-    eigvec_positive = False
-    if rho_in_spectrum:
-        col = eigvec_at(idx, simple)
-        k = int(np.argmax(np.abs(col)))
-        col = col / col[k]
-        eigvec = col.real.copy()
-        # a complex vector (of an eigenvalue beside the real axis) is no
-        # Perron vector, whatever its real part
-        eigvec_positive = bool(
-            np.all(eigvec > tol.rel_eps) and np.all(np.abs(col.imag) <= tol.rel_eps)
-        )
-
     others = w[~in_cluster]
     # None when every eigenvalue lies in rho's cluster: no margin to measure
     margin = float(rho - np.max(np.abs(others))) if others.size else None
-    strictly_dominant = rho_in_spectrum and (margin is None or margin > negligible)
-
-    overall = (
-        rho_positive
-        and rho_in_spectrum
-        and eigvec_positive
-        and simple
-        and strictly_dominant
-    )
-    if eigvec is not None:
-        eigvec.setflags(write=False)
-    return PerronReport(
+    dominant = margin is None or margin > negligible
+    if not dominant and negligible == 0.0:
+        dominant = all(
+            Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 < Fraction(rho) ** 2
+            for z in others[np.abs(others) >= rho]
+        )
+    simple = in_spectrum and int(np.sum(in_cluster)) == 1
+    record = PerronReport(
         rho=rho,
         spectrum=tuple(complex(z) for z in w),
-        rho_positive=rho_positive,
-        rho_in_spectrum=rho_in_spectrum,
-        eigvec=eigvec,
-        eigvec_positive=eigvec_positive,
+        rho_positive=rho > negligible,
+        rho_in_spectrum=in_spectrum,
+        eigvec=None,
+        eigvec_positive=False,
         simple=simple,
-        strictly_dominant=strictly_dominant,
+        strictly_dominant=in_spectrum and dominant,
         dominance_margin=margin,
         cluster_radius=cluster_radius,
-        overall=overall,
+        overall=rho > negligible and simple and dominant,
     )
+    return record, index
+
+
+def _attach_vector(record: PerronReport, vector, eps: float) -> PerronReport:
+    """The report of a _spectral_record, with `vector` as rho's eigenvector.
+
+    The vector is read only when rho is in the spectrum. Scaled to largest
+    entry 1, it is measured against eps, so its verdict does not move under
+    positive scaling either. ``eigvec`` is its real part; an imaginary part
+    beyond eps fails ``eigvec_positive``.
+    """
+    if not record.rho_in_spectrum:
+        return record
+    col = vector / vector[int(np.argmax(np.abs(vector)))]
+    eigvec = col.real.copy()
+    eigvec.setflags(write=False)
+    # a complex vector (of an eigenvalue beside the real axis) is no Perron
+    # vector, whatever its real part
+    positive = bool(np.all(eigvec > eps) and np.all(np.abs(col.imag) <= eps))
+    overall = record.overall and positive
+    return replace(record, eigvec=eigvec, eigvec_positive=positive, overall=overall)
+
+
+def _scale(m: np.ndarray) -> float:
+    """max(||m||_inf, ||m||_1), which m^T shares; raises when it overflows."""
+    return max(_finite_norm(m), _finite_norm(m.T))
+
+
+def _matrix_side(record: PerronReport, index: int, m, border, eps: float) -> PerronReport:
+    """The report of m (A or A^T) from the record of A, with rho's vector
+    from the solve bordered with `border` (see _perron_vector)."""
+    if not record.rho_in_spectrum:
+        return record
+    lam = record.spectrum[index].real
+    x = _perron_vector(m, lam, border if record.simple else None)
+    return _attach_vector(record, x, eps)
 
 
 def strong_pf_check(a, tol: Tolerance = DEFAULT_TOL) -> PerronReport:
     """Measure the five strong Perron-Frobenius conditions on a real matrix.
 
-    The matrix is given by its entries. The conditions are decided on its
-    eigenvalues alone, and rho's eigenvector comes from one real solve
-    bordered with the vector of ones (see _perron_vector), so LAPACK
-    computes eigenvectors only when rho is not simple or that solve fails
-    its residual test. Simplicity and dominance are decided against the
-    eigenvalue cluster within 1e-6 * ||A||_inf of rho, so a numerically
-    split multiple eigenvalue is still recognized as one. For factored
-    input, verify_preservation_theorem decides the five conditions on the
-    factors, with no tolerance and without forming A.
+    The matrix is given by its entries. The four spectrum conditions are
+    decided on its eigenvalues alone, at the scale max(||A||_inf, ||A||_1)
+    that A^T shares, so this report is exactly eventually_positive_check's
+    matrix side. rho's eigenvector comes from one real solve bordered with
+    the vector of ones (see _perron_vector), so LAPACK computes eigenvectors
+    only when rho is not simple or that solve fails its residual test.
+    verify_preservation_theorem decides factored input on its factors.
     """
     m = square_matrix(a)
-    scale = _finite_norm(m)
-    w = _eigenvalues(m)
-    ones = np.ones(len(w))
-    return _perron_report(
-        w,
-        lambda i, simple: _perron_vector(m, w[i].real, ones if simple else None),
-        scale,
-        tol,
-    )
+    scale = _scale(m)
+    record, index = _spectral_record(_eigenvalues(m), scale, tol.rel_eps)
+    return _matrix_side(record, index, m, np.ones(len(m)), tol.rel_eps)
 
 
 # about a thousand times the backward error of a decomposition's eigenvector
@@ -302,23 +313,20 @@ def eventually_positive_check(
     """Eventual positivity via the two-sided strong Perron-Frobenius test.
 
     A is eventually positive iff A and A^T are both strong
-    Perron-Frobenius. The matrix side is strong_pf_check on A, with rho's
-    right vector x. A^T has A's spectrum, so the transpose side reuses that
-    report's eigenvalues and finds the left vector from a second solve, on
-    A^T bordered with x; it keeps its own cluster radius, 1e-6 * ||A^T||_inf.
-    Where a side's rho is not simple or its solve fails (see _perron_vector),
-    that side's matrix is fully decomposed.
+    Perron-Frobenius. A and A^T share their spectrum and the scale
+    max(||A||_inf, ||A||_1), so one spectral record decides the four
+    spectrum conditions, and rho's cluster radius, for both sides. The
+    matrix side, strong_pf_check's report, reads rho's right vector x from
+    the solve bordered with ones; the transpose side reads the left vector
+    from a second solve, on A^T bordered with x. Where rho is not simple or
+    a side's solve fails (see _perron_vector), that side's matrix is fully
+    decomposed.
     """
     m = square_matrix(a)
-    scale_t = _finite_norm(m.T)
-    r1 = strong_pf_check(m, tol)
-    w = np.array(r1.spectrum)
-    r2 = _perron_report(
-        w,
-        lambda i, simple: _perron_vector(m.T, w[i].real, r1.eigvec if simple else None),
-        scale_t,
-        tol,
-    )
+    scale = _scale(m)
+    record, index = _spectral_record(_eigenvalues(m), scale, tol.rel_eps)
+    r1 = _matrix_side(record, index, m, np.ones(len(m)), tol.rel_eps)
+    r2 = _matrix_side(record, index, m.T, r1.eigvec, tol.rel_eps)
     return EventualPositivityReport(r1.overall and r2.overall, r1, r2)
 
 
@@ -577,14 +585,14 @@ def verify_preservation_theorem(
     factors, so A is neither formed nor decomposed and `tol` does not apply
     to it: the spectrum is the spec's eigenvalue multiset, listed block by
     block in the transform's column order, and rho must be one of its
-    entries, exactly. Entries within 1e-6 * rho of rho form rho's cluster,
-    so a multiple rho that rounding split in extraction is not simple; every
-    entry outside it must have modulus below rho. Moduli are float64, so a
-    complex eigenvalue whose modulus rounds to rho ties with it. The first
-    slot k of rho's block indexes its eigenvector R[:, k], which, scaled to
-    largest entry 1, must be strictly positive. None of this changes under
-    (spec, D P R) for a positive diagonal D and a permutation P. Only f(A)
-    is decomposed, and `tol` governs f's side and f(A)'s report.
+    entries, exactly. Entries within a millionth of rho of rho form rho's
+    cluster, so a multiple rho that rounding split in extraction is not
+    simple; every entry outside it must have modulus below rho, decided
+    exactly where the float64 modulus ties with rho. The first slot k of
+    rho's block indexes its eigenvector R[:, k], which, scaled to largest
+    entry 1, must be strictly positive. None of this changes under (spec,
+    D P R) for a positive diagonal D and a permutation P. Only f(A) is
+    decomposed, and `tol` governs f's side and f(A)'s report.
 
     A must carry the strong Perron-Frobenius property to begin with (the
     equivalence says nothing otherwise); violating that raises
@@ -592,18 +600,16 @@ def verify_preservation_theorem(
     and conjugate-symmetry failures frobenius_check found; such a failure is
     the "f(A) is not a real strong Perron-Frobenius matrix" outcome, not an
     error. When f's side holds and f(A)'s report fails, the report is run
-    on the exact f(A) as well, with spectrum f(w) and A's Perron vector; if
-    that fails too, `tol` cannot resolve the comparison and MatFrobError is
-    raised instead of a disagreement. Other failures propagate.
+    on the exact f(A) as well, with spectrum f(w), f(A)'s scale and A's
+    Perron vector; if that fails too, `tol` cannot resolve the comparison
+    and MatFrobError is raised instead of a disagreement. Other failures
+    propagate.
     """
     verdict = frobenius_check(f, factors.spec, tol)
     w = np.array(factors.spec.eigenvalue_multiset())
     r = factors.transform
-
-    def column(k, simple):
-        return r[:, k]
-
-    a_report = _perron_report(w, column, float(np.max(np.abs(w))), Tolerance(0.0))
+    record, k = _spectral_record(w, float(np.max(np.abs(w))), 0.0)
+    a_report = _attach_vector(record, r[:, k], 0.0)
     if not a_report.overall:
         raise PreconditionError(
             "the factored matrix lacks the strong Perron-Frobenius property "
@@ -624,12 +630,9 @@ def verify_preservation_theorem(
         if verdict.overall and not fa_pf:
             # the exact f(A): spectrum f(w), and A's Perron vector R[:, k]
             # at rho; a report that fails it cannot tell the two sides apart
-            exact = _perron_report(
-                np.array([verdict.table[complex(z)][0] for z in w]),
-                column,
-                norm_inf(f_of_a),
-                tol,
-            )
+            fw = np.array([verdict.table[complex(z)][0] for z in w])
+            record, k = _spectral_record(fw, _scale(f_of_a), tol.rel_eps)
+            exact = _attach_vector(record, r[:, k], tol.rel_eps)
             if not exact.overall:
                 raise MatFrobError(
                     f"the comparison is unresolved at tolerance {tol.rel_eps:g}: "

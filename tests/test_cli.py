@@ -145,8 +145,9 @@ class TestCheckEvpos:
         self, tmp_path, capsys, monkeypatch
     ):
         # a brute force that never finds a threshold forces the DEFECT line;
-        # B = [[2, 1], [2, -1]] has ||B||_inf = 3 and ||B^T||_inf = 4, and
-        # its other eigenvalue (1 - sqrt 17) / 2 lies sqrt 17 from rho
+        # B = [[2, 1], [2, -1]] has ||B||_inf = 3 and ||B||_1 = 4, so both
+        # sides' radius is 1e-6 * 4, and its other eigenvalue (1 - sqrt 17) / 2
+        # lies sqrt 17 from rho
         import matfrob.cli
 
         monkeypatch.setattr(matfrob.cli, "power_threshold", lambda a, k: None)
@@ -155,7 +156,7 @@ class TestCheckEvpos:
         defect = [line for line in out.splitlines() if line.startswith("DEFECT")]
         assert len(defect) == 1
         assert "rho = 2.56155281280883" in defect[0]
-        assert "cluster radius 3e-06 (matrix) and 4e-06 (transpose)" in defect[0]
+        assert "cluster radius 4e-06, nearest" in defect[0]
         found = re.search(
             r"nearest other eigenvalue (\S+)j at distance (\S+)\)", defect[0]
         )
@@ -172,8 +173,7 @@ class TestCheckEvpos:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("DEFECT")
         ]
-        assert "cluster radius 2e-06 (matrix) and 2e-06 (transpose), " \
-            "no other eigenvalue" in defect[0]
+        assert "cluster radius 2e-06, no other eigenvalue" in defect[0]
 
     @pytest.mark.parametrize("kmax", ["0", "-3"])
     def test_kmax_below_one_rejected_by_name(self, tmp_path, capsys, kmax):
@@ -242,6 +242,16 @@ class TestOverflowingInput:
         assert code == 2
         assert captured.out == ""
         assert "overflows float64" in captured.err
+
+    @pytest.mark.parametrize("command", ["check-pf", "check-evpos"])
+    def test_overflowing_column_sum_refused(self, tmp_path, capsys, command):
+        # the row sums are finite; the column sum 2e308 is not, and both
+        # checks read the scale max(||A||_inf, ||A||_1)
+        path = write_matrix(tmp_path, [[1e308, 0.0], [1e308, 1.0]])
+        code = main([command, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "column sum of the matrix overflows float64" in captured.err
 
     def test_distance_to_rho_beyond_float64(self, tmp_path, capsys):
         # ||A|| is finite, but -rho lies 2e308 from rho: an infinite distance
@@ -1133,13 +1143,14 @@ class TestEigendecompositionCounts:
     def test_check_evpos_reads_one_spectrum_and_solves_twice(
         self, tmp_path, capsys, monkeypatch, counted
     ):
-        # the matrix side is strong_pf_check; the transpose side reuses its
-        # eigenvalues, and its vector as the border of the second solve
+        # one spectral record serves both sides; the matrix side's vector
+        # borders the transpose side's solve
+        records = count_calls(monkeypatch, "_spectral_record", perron)
         checks = count_calls(monkeypatch, "strong_pf_check", perron)
         spectra = count_calls(monkeypatch, "_eigenvalues", perron)
         solves = count_calls(monkeypatch, "solve", np.linalg)
         assert main(["check-evpos", write_matrix(tmp_path, GOLDEN)]) == 0
-        assert (len(checks), len(spectra), len(solves)) == (1, 1, 2)
+        assert (len(records), len(checks), len(spectra), len(solves)) == (1, 0, 1, 2)
         assert counted == {"eig": [], "eigvals": [(2, 2)]}
 
     def test_check_pf_decomposes_once(self, tmp_path, capsys, counted):

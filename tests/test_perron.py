@@ -29,7 +29,7 @@ from matfrob import (
     verify_preservation_theorem,
 )
 from matfrob.core import DEFAULT_TOL, norm_inf
-from matfrob.perron import _perron_report, _perron_vector
+from matfrob.perron import _attach_vector, _perron_vector, _spectral_record
 from matfrob.sampling import (
     positive_column_orthogonal,
     random_orthogonal,
@@ -80,8 +80,9 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 # eigenvalues 1 +- 3.5e-9 i and 0.1: rho lies 3.5e-9 from the spectrum, within
-# 1e-9 * ||A^T||_inf = 4.1e-9 but not 1e-9 * ||A||_inf = 3e-9, so only the
-# transpose side reads a vector, with no right vector to border with
+# 1e-9 * ||A||_1 = 4.1e-9 but not 1e-9 * ||A||_inf = 3e-9; the scale is the
+# larger norm, so rho is in the spectrum on both sides, and neither side has
+# a simple rho to border a solve with
 TRANSPOSE_ONLY_RHO = np.array(
     [[1.0, -3.5e-9, 2.0], [3.5e-9, 1.0, 2.0], [0.0, 0.0, 0.1]]
 )
@@ -235,6 +236,8 @@ class TestEventuallyPositive:
             assert report.matrix_report.condition_verdicts() == (
                 strong_pf_check(a).condition_verdicts()
             ), a
+            # check-pf's report is check-evpos's matrix side, number for number
+            assert strong_pf_check(a).to_dict() == report.matrix_report.to_dict(), a
 
     def test_complex_vector_is_not_a_positive_perron_vector(self):
         # the transpose side reads the vector of 1 + 3.5e-9 i, whose real
@@ -243,6 +246,34 @@ class TestEventuallyPositive:
         assert side.rho_in_spectrum and np.all(side.eigvec > 0.0)
         assert not side.eigvec_positive
         assert not side.simple and not side.overall
+
+    def test_one_rho_in_spectrum_verdict_on_both_sides(self):
+        # rho lies 3.5e-9 from the spectrum, between 1e-9 * ||A||_inf = 3e-9
+        # and 1e-9 * ||A||_1 = 4.1e-9: per-side norms split the verdict
+        report = eventually_positive_check(TRANSPOSE_ONLY_RHO)
+        assert report.matrix_report.rho_in_spectrum
+        assert report.transpose_report.rho_in_spectrum
+        assert report.matrix_report.cluster_radius == pytest.approx(4.1e-6, rel=1e-12)
+
+    def test_one_spectrum_gets_one_set_of_verdicts(self):
+        # A = Q diag(1, 1 - 1.2e-4, ...) Q^T and B = D A D^-1 with D = diag(1,
+        # ..., 2^8): ||B||_inf = 254.9 and ||B||_1 = 102.6 put a radius of
+        # 1e-6 * norm on either side of the gap 1.2e-4, one per side; the
+        # larger one decides simplicity on both
+        q = positive_column_orthogonal(np.random.default_rng(0), 6)
+        a = q @ np.diag([1.0, 1.0 - 1.2e-4, 0.3, -0.2, 0.1, 0.05]) @ q.T
+        d = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0**8])
+        b = a * d[:, None] / d[None, :]
+        spectral = ["rho_positive", "rho_in_spectrum", "simple", "strictly_dominant"]
+        reports = [eventually_positive_check(b), eventually_positive_check(b.T)]
+        for report in reports:
+            matrix, transposed = report.matrix_report, report.transpose_report
+            for key in spectral:
+                assert getattr(matrix, key) == getattr(transposed, key), key
+            assert matrix.cluster_radius == transposed.cluster_radius
+            assert matrix.cluster_radius == 1e-6 * norm_inf(b)
+            assert not matrix.simple
+        assert reports[0].overall == reports[1].overall
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, value):
@@ -261,11 +292,11 @@ class TestEventuallyPositive:
                 check(a)
 
     def test_overflowing_column_sum_rejected(self):
-        # row sums are finite, so only the transpose side overflows
+        # row sums are finite, but the scale max(||A||_inf, ||A||_1) is not
         a = np.array([[1e308, 0.0], [1e308, 1.0]])
-        strong_pf_check(a)
-        with pytest.raises(PreconditionError, match="overflows float64"):
-            eventually_positive_check(a)
+        for check in (eventually_positive_check, strong_pf_check):
+            with pytest.raises(PreconditionError, match="overflows float64"):
+                check(a)
 
     def test_left_perron_vector(self):
         report = eventually_positive_check(B)
@@ -573,6 +604,23 @@ class TestPreservationTheorem:
         assert res.f_is_frobenius and not res.fa_strong_pf
         assert not res.theorem_consistent
 
+    def test_modulus_tie_with_rho_is_decided_exactly(self, monkeypatch):
+        # |0.28 + 0.96i| rounds to 1.0, but 0.28^2 + 0.96^2 - 1 = -5.3e-17 in
+        # the binary values: the pair lies strictly inside the unit circle
+        spec = JordanSpec(real_blocks=((1.0, 1),), complex_blocks=((0.28 + 0.96j, 1),))
+        r = np.array([[1.0, 0.3, -0.2], [1.0, -0.5, 0.4], [1.0, 0.2, 0.9]])
+        factors = synthesize_matrix(spec, r)
+        assert abs(0.28 + 0.96j) == 1.0
+        report = TestFactoredReport.factored_report(monkeypatch, factors)
+        assert report.failed_conditions() == []
+        assert report.dominance_margin == 0.0
+        # f(A) = A has no resolvable margin at 1e-9, so the comparison is
+        # unresolved, and not A's precondition
+        with pytest.raises(MatFrobError, match="unresolved") as info:
+            verify_preservation_theorem(factors, Monomial(1))
+        assert not isinstance(info.value, PreconditionError)
+        assert verify_preservation_theorem(factors, Exp()).theorem_consistent
+
     def test_overflowing_factored_matrix_rejected(self):
         # R J R^-1 would overflow, but verify never forms it: the exact
         # report refuses the tie between rho and -rho, and R's column at rho
@@ -643,10 +691,10 @@ class TestFactoredReport:
     def factored_report(monkeypatch, factors):
         """The report verify_preservation_theorem builds for A."""
         seen = []
-        original = matfrob.perron._perron_report
+        original = matfrob.perron._attach_vector
         monkeypatch.setattr(
             matfrob.perron,
-            "_perron_report",
+            "_attach_vector",
             lambda *args: seen.append(original(*args)) or seen[-1],
         )
         try:
@@ -868,8 +916,9 @@ class TestOneTableForBothSides:
 
 def eig_path_reports(a, tol=DEFAULT_TOL):
     """Reference: both sides of eventually_positive_check read off a full
-    np.linalg.eig, rho's vector as that decomposition's column and the left
-    vector from the bordered solve on A^T as before, without a residual test."""
+    np.linalg.eig, at one scale max(||A||_inf, ||A||_1): rho's vector as that
+    decomposition's column and the left vector from the bordered solve on A^T
+    as before, without a residual test."""
     m = np.asarray(a, dtype=float)
     n = m.shape[0]
     w, v = np.linalg.eig(m)
@@ -884,9 +933,10 @@ def eig_path_reports(a, tol=DEFAULT_TOL):
         except np.linalg.LinAlgError:
             return x
 
-    r1 = _perron_report(w, lambda idx, simple: v[:, idx], norm_inf(m), tol)
-    r2 = _perron_report(w, lambda idx, simple: left(idx, r1.eigvec), norm_inf(m.T), tol)
-    return r1, r2
+    record, k = _spectral_record(w, max(norm_inf(m), norm_inf(m.T)), tol.rel_eps)
+    r1 = _attach_vector(record, v[:, k], tol.rel_eps)
+    y = left(k, r1.eigvec) if record.rho_in_spectrum else None
+    return r1, _attach_vector(record, y, tol.rel_eps)
 
 
 def large_reference_set():

@@ -68,7 +68,7 @@ exp(B) eventually positive: yes (power threshold 1)
 
 
 def test_preservation_suite_table(capsys, monkeypatch):
-    reports = count_calls(monkeypatch, "_perron_report", matfrob.perron)
+    records = count_calls(monkeypatch, "_spectral_record", matfrob.perron)
     formed = count_calls(monkeypatch, "reconstruct", RealJordanFactors)
     suite = runpy.run_path(str(SCRIPTS / "run_preservation_suite.py"))
     code = suite["main"](["--trials", "500", "--seed", "1"])
@@ -76,7 +76,7 @@ def test_preservation_suite_table(capsys, monkeypatch):
     assert capsys.readouterr().out == SUITE_TABLE_SEED_1
     # f's domain is checked before A's report, so the 284 skipped root:2
     # trials build none
-    assert len(reports) <= 7148
+    assert len(records) <= 7148
     # every verdict is read off the factors: A itself is never formed
     assert formed == []
 
