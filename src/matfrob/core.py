@@ -51,8 +51,9 @@ class PreconditionError(MatFrobError):
 class Tolerance:
     """Relative tolerance; every check multiplies rel_eps by a scale of its input.
 
-    The Perron checks multiply it by ||A||_inf, and test the Perron vector,
-    scaled to largest entry 1, against rel_eps itself. The conjugate-symmetry
+    The Perron checks on a matrix multiply it by max(||A||_inf, ||A||_1)
+    and test the Perron vector, scaled to largest entry 1, against rel_eps
+    itself; A's report on factors reads no tolerance. The conjugate-symmetry
     test on f's table multiplies it by the largest |f^(j)| on the spectrum
     at each order j; the scalar conditions by the largest |f| on the
     spectrum and at rho, and rho by 1 - rel_eps for the circle inside it.

@@ -1,10 +1,10 @@
 """Real Jordan structure: block builders, synthesis, extraction.
 
-A real matrix is carried around in factored form ``A = R J R^{-1}`` where J
-is block diagonal with real Jordan blocks for real eigenvalues and, for each
-conjugate eigenvalue pair, a block built from 2x2 rotation-scaling blocks.
-Keeping the factors explicit is what lets the function calculus act per
-block instead of re-deriving structure from raw entries.
+A real matrix is carried in factored form ``A = R J R^{-1}``, J block
+diagonal: a Jordan block per real eigenvalue and, per conjugate pair, its
+complex block in real form, entry c as [[Re c, Im c], [-Im c, Re c]] and an
+eigenvector u + iv as R's columns u, v. The explicit factors let the
+function calculus act per block, not re-derive structure from raw entries.
 
 J and f(J) come from the same block builders, J being f(J) at f(z) = z.
 RealJordanFactors.reconstruct alone forms A = R J R^{-1}, and refuses an A
@@ -37,7 +37,6 @@ __all__ = [
     "IllConditionedWarning",
     "JordanSpec",
     "RealJordanFactors",
-    "rotation_block",
     "block_diag",
     "func_jordan_block",
     "func_real_jordan_block",
@@ -118,13 +117,6 @@ class JordanSpec:
         return list(index.items())
 
 
-def rotation_block(lam: complex) -> np.ndarray:
-    """2x2 real block [[Re, Im], [-Im, Re]] acting as multiplication by lam;
-    -Im is 0.0 - Im, so a real lam gives lam times the identity exactly."""
-    lam = complex(lam)
-    return np.array([[lam.real, lam.imag], [0.0 - lam.imag, lam.real]])
-
-
 def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Direct sum of square blocks; complex if any block is complex."""
     if not blocks:
@@ -142,10 +134,11 @@ def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 def _taylor_coefficient(row, k: int) -> complex:
     """row[k] / k! part by part: complex division loses a -0.0 part's sign.
-    Past 170!, beyond float64, a finite part is the exact quotient rounded
-    once (possibly subnormal or zero); inf and nan stay as they are."""
+    A finite part is the exact quotient rounded once: float division while
+    k! is exact in float64 (k <= 22), a Fraction past it (possibly
+    subnormal or zero); inf and nan stay as they are."""
     z, d = complex(row[k]), math.factorial(k)
-    if k <= 170:
+    if k <= 22:
         return complex(z.real / d, z.imag / d)
     return complex(*(
         math.copysign(float(Fraction(x) / d), x) if math.isfinite(x) else x
@@ -170,18 +163,17 @@ def func_jordan_block(row, size: int) -> np.ndarray:
 def func_real_jordan_block(row, size: int) -> np.ndarray:
     """f applied to the real block of the pair (lam, conj lam), from f^(k)(lam).
 
-    Block upper triangular Toeplitz with rotation_block(row[k] / k!), where
-    row[k] = f^(k)(lam), on the k-th block superdiagonal. This is f's value
-    only when f^(k)(conj lam) = conj f^(k)(lam), which the caller tests on
-    the table. Block diagonals past the row's end are zero.
+    The real form of func_jordan_block(row, size): each entry c becomes
+    [[Re c, Im c], [-Im c, Re c]], with -Im c as 0.0 - Im c, so a real c
+    gives c times the identity exactly. The map is a ring homomorphism, so
+    this is f's value when f^(k)(conj lam) = conj f^(k)(lam), which the
+    caller tests on the table.
     """
-    if size < 1:
-        raise ValueError(f"block size must be at least 1, got {size}")
-    m = np.zeros((2 * size, 2 * size))
-    for j in range(min(size, len(row))):
-        rb = rotation_block(_taylor_coefficient(row, j))
-        for i in range(size - j):
-            m[2 * i : 2 * i + 2, 2 * (i + j) : 2 * (i + j) + 2] = rb
+    t = func_jordan_block(row, size)
+    m = np.empty((2 * size, 2 * size))
+    m[0::2, 0::2] = m[1::2, 1::2] = t.real
+    m[0::2, 1::2] = t.imag
+    m[1::2, 0::2] = 0.0 - t.imag
     return m
 
 
@@ -340,38 +332,22 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
                 "factors via synthesize_matrix instead."
             )
 
-    real_lams: list[float] = []
-    real_cols: list[np.ndarray] = []
-    pair_lams: list[complex] = []
-    pair_cols: list[tuple[np.ndarray, np.ndarray]] = []
     split = 1e-12 * float(np.max(np.abs(w)))
-    for i, lam in enumerate(w):
-        if lam.imag < 0.0:
-            continue  # exact conjugate of the pair member read just before
-        col = v[:, i]
-        k = int(np.argmax(np.abs(col)))
-        col = col / col[k]
-        if lam.imag == 0.0:
-            real_lams.append(float(lam.real))
-            real_cols.append(col.real.copy())
-        elif lam.imag <= split:
-            # a real semisimple double eigenvalue split by rounding
-            real_lams.extend([float(lam.real)] * 2)
-            real_cols.extend([col.real.copy(), col.imag.copy()])
-        else:
-            pair_lams.append(complex(lam))
-            pair_cols.append((col.real.copy(), col.imag.copy()))
-
+    # every eigenvalue with imag >= 0 (one member per pair), its eigenvector
+    # divided by its largest-modulus entry; real blocks first, in spec order
+    up = np.flatnonzero(w.imag >= 0.0)
+    up = up[np.argsort(w.imag[up] > split, kind="stable")]
+    w, v = w[up], v[:, up]
+    v = v / v[np.argmax(np.abs(v), axis=0), np.arange(len(up))]
+    pair, two = w.imag > split, w.imag != 0.0
     spec = JordanSpec(
-        real_blocks=tuple((lam, 1) for lam in real_lams),
-        complex_blocks=tuple((lam, 1) for lam in pair_lams),
+        real_blocks=tuple((lam, 1) for lam in np.repeat(w.real[~pair], 1 + two[~pair])),
+        complex_blocks=tuple((lam, 1) for lam in w[pair]),
     )
-    cols = list(real_cols)
-    for re, im in pair_cols:
-        cols.append(re)
-        cols.append(im)
-    r = np.column_stack(cols)
-    del v, real_cols, pair_cols, cols  # not held through the inverse
+    # Re u for a real eigenvalue, Re u then Im u for a pair or a split double
+    keep = np.stack((np.ones_like(two), two), axis=1).ravel()
+    r = np.stack((v.real, v.imag), axis=2).reshape(len(v), -1)[:, keep]
+    del v  # not held through the inverse
     try:
         r_inv = mat_inverse(r)
     except SingularMatrixError as exc:

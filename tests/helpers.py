@@ -1,5 +1,5 @@
-"""Shared test utilities: a reference Jordan block, spectrum comparison,
-function catalogues, call counts, strict JSON."""
+"""Shared test utilities: a reference Jordan block and extraction layout,
+spectrum comparison, function catalogues, call counts, strict JSON."""
 
 import json
 
@@ -116,6 +116,49 @@ def split_double_eigenvalue_matrix(seed=70, lam=1.0):
     split = (np.abs(w.imag) > 0.0) & (np.abs(w.imag) <= 1e-12 * rho)
     assert np.count_nonzero(split) == 2, w
     return a, r, lams
+
+
+def reference_extraction_layout(w, v):
+    """(spec, R) of extract_diagonalizable_structure, one eigenvalue at a time.
+
+    Each member with imaginary part >= 0 is read, its eigenvector divided
+    by its largest-modulus entry (the conjugate member is skipped). A real
+    eigenvalue gives Re u; a pair with imaginary part at most 1e-12 * rho,
+    a real double eigenvalue that rounding split, gives its real part twice
+    with Re u and Im u; any other pair gives Re u and Im u. Real blocks
+    come first, then pairs, each in LAPACK's order.
+    """
+    real_lams, real_cols, pair_lams, pair_cols = [], [], [], []
+    split = 1e-12 * float(np.max(np.abs(w)))
+    for i, lam in enumerate(w):
+        if lam.imag < 0.0:
+            continue
+        col = v[:, i]
+        col = col / col[int(np.argmax(np.abs(col)))]
+        if lam.imag == 0.0:
+            real_lams.append(float(lam.real))
+            real_cols.append(col.real.copy())
+        elif lam.imag <= split:
+            real_lams.extend([float(lam.real)] * 2)
+            real_cols.extend([col.real.copy(), col.imag.copy()])
+        else:
+            pair_lams.append(complex(lam))
+            pair_cols.extend([col.real.copy(), col.imag.copy()])
+    spec = JordanSpec(
+        real_blocks=tuple((lam, 1) for lam in real_lams),
+        complex_blocks=tuple((lam, 1) for lam in pair_lams),
+    )
+    return spec, np.column_stack(real_cols + pair_cols)
+
+
+def bitwise_equal(x, y):
+    """Same shape and values, nan where nan, and the same sign on every zero."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (
+        x.shape == y.shape
+        and np.array_equal(x, y, equal_nan=True)
+        and np.array_equal(np.signbit(x), np.signbit(y))
+    )
 
 
 def count_scalar_calls(monkeypatch):

@@ -676,14 +676,19 @@ class TestOverflow:
 
 
 class TestBlocksPastFactorialRange:
-    """171! is beyond float64, yet f^(k)(lam) / k! is still rounded once."""
+    """23! is not exact in float64 and 171! is beyond it, yet f^(k)(lam) / k!
+    is still rounded once."""
 
     @staticmethod
     def over_factorial(x, k):
-        # float division up to 170!, the correctly rounded quotient past it
-        if k <= 170:
-            return x / math.factorial(k)
+        # the correctly rounded quotient, at every k
         return float(Fraction(x) / math.factorial(k))
+
+    def test_quotient_by_an_inexact_factorial(self):
+        # x / float(23!) rounds twice and lands one ulp low
+        x = 7.84663944566801e51
+        got = func_jordan_block([0.0] * 23 + [x], 24)[0, 23]
+        assert got == self.over_factorial(x, 23) == 3.0352136643427084e29
 
     @pytest.mark.parametrize("size", [172, 200])
     def test_real_block(self, size):

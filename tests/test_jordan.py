@@ -13,7 +13,7 @@ from matfrob import (
     matrix_function,
     synthesize_matrix,
 )
-from matfrob.core import eigen_decompose
+from matfrob.core import eigen_decompose, mat_inverse
 from matfrob.jordan import (
     RealJordanFactors,
     _cluster_indices,
@@ -21,11 +21,17 @@ from matfrob.jordan import (
     block_diag,
     func_jordan_block,
     func_real_jordan_block,
-    rotation_block,
 )
 from matfrob.sampling import random_orthogonal, random_pf_spec
 
-from helpers import assert_multiset_close, count_svd_calls, jordan_block
+from helpers import (
+    assert_multiset_close,
+    bitwise_equal,
+    count_svd_calls,
+    jordan_block,
+    reference_extraction_layout,
+    split_double_eigenvalue_matrix,
+)
 
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 
@@ -96,9 +102,35 @@ class TestBuilders:
         with pytest.raises(ValueError, match="^need at least one block$"):
             block_diag([])
 
-    def test_rotation_block(self):
-        np.testing.assert_array_equal(rotation_block(1 + 2j), [[1, 2], [-2, 1]])
-        np.testing.assert_array_equal(rotation_block(3.0), [[3, 0], [0, 3]])
+    def test_pair_block_of_one_entry(self):
+        got = func_real_jordan_block((1 + 2j,), 1)
+        np.testing.assert_array_equal(got, [[1, 2], [-2, 1]])
+        got = func_real_jordan_block((3.0,), 1)
+        np.testing.assert_array_equal(got, [[3, 0], [0, 3]])
+        # a real entry gives it times the identity, with no -0.0 below it
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (complex(-0.0, -0.0), complex(0.0, -0.0)),
+            (complex(np.inf, -0.0), complex(-0.0, np.nan)),
+            (complex(np.nan, 2.0), -np.inf, complex(0.0, np.inf)),
+            (complex(-np.inf, np.inf), 5e-324, complex(-1.7e308, -0.0), 9.0),
+        ],
+    )
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_pair_block_is_the_real_form_entry_by_entry(self, row, size):
+        # each 2x2 block [[Re c, Im c], [0.0 - Im c, Re c]] at c = row[k] / k!,
+        # on the k-th block superdiagonal; k! is 1, 1, 2, so c is exact
+        expected = np.zeros((2 * size, 2 * size))
+        for k, c in enumerate(map(complex, row[:size])):
+            c = complex(c.real / (1, 1, 2)[k], c.imag / (1, 1, 2)[k])
+            for i in range(size - k):
+                expected[2 * i : 2 * i + 2, 2 * (i + k) : 2 * (i + k) + 2] = [
+                    [c.real, c.imag], [0.0 - c.imag, c.real]
+                ]
+        assert bitwise_equal(func_real_jordan_block(row, size), expected)
 
     def test_real_jordan_block_single(self):
         np.testing.assert_array_equal(real_jordan_block(1j, 1), [[0, 1], [-1, 0]])
@@ -357,6 +389,23 @@ class TestFactors:
             RealJordanFactors(spec, np.eye(2), np.eye(3))
 
 
+def layout_family():
+    """Seeded matrices at n = 1..40 with real-only, all-pair, mixed and sparse
+    integer spectra (the last give -0.0 entries in R), then the split doubles."""
+    rng = np.random.default_rng(27)
+    for n in range(1, 41):
+        q = rng.standard_normal((n, n))
+        yield q @ np.diag(rng.standard_normal(n)) @ np.linalg.inv(q)
+        s = rng.standard_normal((n, n))
+        yield s - s.T
+        yield rng.standard_normal((n, n))
+        yield rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.3)
+    for seed in (70, 123, 317):
+        yield split_double_eigenvalue_matrix(seed)[0]
+    for seed in (62, 117, 173):
+        yield split_double_eigenvalue_matrix(seed, lam=-1.0)[0]
+
+
 class TestExtract:
     def test_already_diagonal(self):
         factors = extract_diagonalizable_structure(np.diag([2.0, 1.0]))
@@ -422,6 +471,22 @@ class TestExtract:
             "synthesize_matrix instead.",
         ):
             extract_diagonalizable_structure(B)
+
+    def test_layout_is_the_reference_bit_for_bit(self):
+        # the spec, every column of R in order, and R^-1, against the reference
+        compared = negative_zeros = 0
+        for a in layout_family():
+            try:
+                factors = extract_diagonalizable_structure(a)
+            except PreconditionError:
+                continue
+            spec, r = reference_extraction_layout(*eigen_decompose(a))
+            assert repr(factors.spec) == repr(spec)
+            assert bitwise_equal(factors.transform, r)
+            assert bitwise_equal(factors.transform_inverse, mat_inverse(r))
+            compared += 1
+            negative_zeros += bool(np.signbit(r[r == 0.0]).any())
+        assert compared >= 150 and negative_zeros >= 50, (compared, negative_zeros)
 
 
 # c = 2^k for k from -1000 to 1000: cA is exact and stays a normal float64
