@@ -12,7 +12,6 @@ dense kernels and report classes stay in their submodules.
 from .core import (
     MatFrobError,
     PreconditionError,
-    SingularMatrixError,
     Tolerance,
 )
 from .funcalc import (
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tolerance",
     "MatFrobError",
-    "SingularMatrixError",
     "PreconditionError",
     "JordanSpec",
     "RealJordanFactors",

@@ -16,6 +16,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -88,6 +89,14 @@ def _require_fn(args):
     return parse_function_expression(args.fn)
 
 
+def _load_matrix(args):
+    """(name, A) from a matrix document; another kind is refused by name."""
+    doc = load_document(args.input)
+    if is_matrix_document(doc):
+        return parse_matrix_document(doc)
+    raise MatFrobError(f"{args.input}: {args.command} needs a matrix document (rows)")
+
+
 def _load_as_factors(args, needs: str | None = None):
     """The input document in factored form: (name, matrix, factors).
 
@@ -125,7 +134,7 @@ def _load_as_factors(args, needs: str | None = None):
 
 def cmd_check_pf(args) -> int:
     tol = _tolerance(args)
-    name, a = parse_matrix_document(load_document(args.input))
+    name, a = _load_matrix(args)
     report = strong_pf_check(a, tol)
     print(f"matrix: {name}")
     print(report.format_text())
@@ -171,7 +180,7 @@ def cmd_check_evpos(args) -> int:
     tol = _tolerance(args)
     if args.kmax < 1:
         raise MatFrobError(f"--kmax must be at least 1, got {args.kmax}")
-    name, a = parse_matrix_document(load_document(args.input))
+    name, a = _load_matrix(args)
     report = eventually_positive_check(a, tol)
     threshold = power_threshold(a, args.kmax)
     print(f"matrix: {name}")
@@ -326,11 +335,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # looked up on every call, so that a wrapped cmd_* is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
-    try:
-        return handler(args)
-    except (MatFrobError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings():  # a warning is one stderr line, no source
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return handler(args)
+        except (MatFrobError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

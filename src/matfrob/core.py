@@ -3,13 +3,13 @@
 Matrices are plain 2-d float64 numpy arrays; complex values appear only
 in what a decomposition returns. square_matrix is the one validator:
 every public function of the package that takes a matrix calls it at its
-entry, so all of them, mat_inverse and condition_estimate included,
-refuse malformed input with the same class and message. Every function
-here is pure; arguments are never mutated. Every threshold is relative
-(to a value, a norm or a largest singular value), so none depends on the
-scale of the input. Eigen decomposition goes through the real LAPACK
-path so complex eigenvalues arrive in exactly conjugate pairs, which the
-real-Jordan machinery downstream relies on.
+entry, so all of them refuse malformed input with the same class and
+message; a singular matrix given to mat_inverse is a PreconditionError
+too. Every function here is pure; arguments are never mutated. Every
+threshold is relative (to a value, a norm or a largest singular value), so
+none depends on the scale of the input. Eigen decomposition goes through
+the real LAPACK path so complex eigenvalues arrive in exactly conjugate
+pairs, which the real-Jordan machinery downstream relies on.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "MatFrobError",
-    "SingularMatrixError",
     "PreconditionError",
     "Tolerance",
     "DEFAULT_TOL",
@@ -37,10 +36,6 @@ __all__ = [
 class MatFrobError(Exception):
     """Base class for every error this package raises on purpose, and the
     class of a failure that no caller tells apart from the others."""
-
-
-class SingularMatrixError(MatFrobError):
-    """Matrix is singular to working tolerance."""
 
 
 class PreconditionError(MatFrobError):
@@ -141,7 +136,7 @@ def condition_estimate(a) -> float:
 
 
 def mat_inverse(a) -> np.ndarray:
-    """Inverse of a square matrix; singular input raises.
+    """Inverse of a square matrix; singular input raises PreconditionError.
 
     Singularity is decided by the smallest singular value against
     ``1e-12 * largest singular value``, so "numerically singular" rather
@@ -150,13 +145,13 @@ def mat_inverse(a) -> np.ndarray:
     m = square_matrix(a)
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
-        raise SingularMatrixError(
+        raise PreconditionError(
             f"matrix is singular to tolerance (smallest singular value {s[-1]:.3e})"
         )
     try:
         return np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularMatrixError(str(exc)) from exc
+        raise PreconditionError(str(exc)) from exc
 
 
 def eigen_decompose(a) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ complex block in real form, entry c as [[Re c, Im c], [-Im c, Re c]] and an
 eigenvector u + iv as R's columns u, v. The explicit factors let the
 function calculus act per block, not re-derive structure from raw entries.
 
-J and f(J) come from the same block builders, J being f(J) at f(z) = z.
+J and f(J) are laid out by one function, J being f(J) at f(z) = z.
 RealJordanFactors.reconstruct alone forms A = R J R^{-1}, and refuses an A
 with an entry beyond float64; synthesize_matrix returns the factors only.
 """
@@ -18,13 +18,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
     PreconditionError,
-    SingularMatrixError,
     _finite_norm,
     eigen_decompose,
     mat_inverse,
@@ -37,10 +35,8 @@ __all__ = [
     "IllConditionedWarning",
     "JordanSpec",
     "RealJordanFactors",
-    "block_diag",
     "func_jordan_block",
     "func_real_jordan_block",
-    "assemble_real_jordan",
     "synthesize_matrix",
     "extract_diagonalizable_structure",
 ]
@@ -117,21 +113,6 @@ class JordanSpec:
         return list(index.items())
 
 
-def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Direct sum of square blocks; complex if any block is complex."""
-    if not blocks:
-        raise ValueError("need at least one block")
-    n = sum(b.shape[0] for b in blocks)
-    dtype = complex if any(np.iscomplexobj(b) for b in blocks) else float
-    out = np.zeros((n, n), dtype=dtype)
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[at : at + k, at : at + k] = b
-        at += k
-    return out
-
-
 def _taylor_coefficient(row, k: int) -> complex:
     """row[k] / k! part by part: complex division loses a -0.0 part's sign.
     A finite part is the exact quotient rounded once: float division while
@@ -178,16 +159,15 @@ def func_real_jordan_block(row, size: int) -> np.ndarray:
 
 
 def _assemble_blocks(spec: JordanSpec, row) -> np.ndarray:
-    """f(J) in spec order, from row(lam) = (f(lam), f'(lam), ...); a pair
-    block reads its representative's row."""
+    """The real f(J), each block at its diagonal offset in spec order, from
+    row(lam) = (f(lam), f'(lam), ...); a pair reads its representative's row."""
     blocks = [func_jordan_block(row(lam), n).real for lam, n in spec.real_blocks]
     blocks += [func_real_jordan_block(row(lam), n) for lam, n in spec.complex_blocks]
-    return block_diag(blocks)
-
-
-def assemble_real_jordan(spec: JordanSpec) -> np.ndarray:
-    """J in spec order: f(J) at f(z) = z, from the rows (lam, 1)."""
-    return _assemble_blocks(spec, lambda lam: (lam, 1.0))
+    out, at = np.zeros((spec.total_dimension,) * 2), 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -223,7 +203,7 @@ class RealJordanFactors:
     def reconstruct(self) -> np.ndarray:
         """The real matrix these factors represent; an entry beyond float64
         raises PreconditionError."""
-        j = assemble_real_jordan(self.spec)
+        j = _assemble_blocks(self.spec, lambda lam: (lam, 1.0))
         with np.errstate(over="ignore", invalid="ignore"):
             a = self.transform @ j @ self.transform_inverse
         if not np.isfinite(a).all():
@@ -239,9 +219,9 @@ def synthesize_matrix(spec: JordanSpec, transform) -> RealJordanFactors:
 
     One SVD of the transform decides singularity (a smallest singular
     value of zero, or subnormal, whose inverse can overflow) and
-    conditioning: above 1e6 an IllConditionedWarning is issued, and above
-    1e8 the synthesis is refused with PreconditionError, since the factored
-    structure would be numerically meaningless. No bound depends on the
+    conditioning: above 1e6 an IllConditionedWarning is issued. A singular
+    transform, or one above 1e8, is refused with PreconditionError: the
+    factored structure would be numerically meaningless. No bound depends on the
     scale of R: cR gives the same A for every c != 0. A itself is not
     formed here: reconstruct() forms it.
     """
@@ -253,7 +233,7 @@ def synthesize_matrix(spec: JordanSpec, transform) -> RealJordanFactors:
         )
     s = np.linalg.svd(r, compute_uv=False)
     if s[-1] < np.finfo(float).tiny:
-        raise SingularMatrixError(
+        raise PreconditionError(
             f"transform is singular in float64 (smallest singular value {s[-1]:.3e})"
         )
     cond = float(s[0] / s[-1])
@@ -350,7 +330,7 @@ def extract_diagonalizable_structure(a) -> RealJordanFactors:
     del v  # not held through the inverse
     try:
         r_inv = mat_inverse(r)
-    except SingularMatrixError as exc:
+    except PreconditionError as exc:
         raise PreconditionError(
             "eigenvector basis is numerically singular; the matrix is "
             "defective to tolerance. Build it from explicit factors via "

@@ -1,5 +1,5 @@
-"""Shared test utilities: a reference Jordan block and extraction layout,
-spectrum comparison, function catalogues, call counts, strict JSON."""
+"""Shared test utilities: a reference Jordan block, direct sum and extraction
+layout, spectrum comparison, function catalogues, call counts, strict JSON."""
 
 import json
 
@@ -28,6 +28,18 @@ def jordan_block(lam, size):
     idx = np.arange(size - 1)
     m[idx, idx + 1] = 1.0
     return m
+
+
+def direct_sum(blocks):
+    """Square blocks down the diagonal of a zero matrix, complex when any
+    block is; expectations that stack blocks are built with it."""
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=np.result_type(*blocks))
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
 
 
 def assert_multiset_close(actual, expected, atol=1e-7):

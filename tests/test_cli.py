@@ -305,6 +305,38 @@ class TestOverflowingSynthesis:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check-pf", "check-evpos"])
+def test_factored_form_refused_by_kind(tmp_path, capsys, command):
+    # as verify and synthesize refuse a matrix document by kind
+    path = write_spec(tmp_path, PF_SPEC)
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}: {command} needs a matrix document (rows)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, routine",
+    [(["apply", "--fn", "exp"], "eig"), (["check-pf"], "eigvals"),
+     (["check-evpos"], "eigvals")],
+)
+def test_eigenvalue_iteration_failure_exits_2(
+    tmp_path, capsys, monkeypatch, argv, routine
+):
+    # LAPACK's LinAlgError, from the full decomposition (apply's extraction)
+    # or the eigenvalues alone (the Perron checks), is a refusal by name
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    code = main([argv[0], write_matrix(tmp_path, GOLDEN), *argv[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: eigenvalue iteration failed: Eigenvalues did not converge\n"
+    )
+
+
 class TestRefusalTable:
     """One refusal per kind of failure the library tells apart, pinned to its
     exact stderr line: the class a failure is raised as never shows here.
@@ -994,6 +1026,33 @@ class TestSynthesize:
     def test_rejects_matrix_document(self, tmp_path, capsys):
         code = main(["synthesize", write_matrix(tmp_path, GOLDEN)])
         assert code == 2
+
+    # Python's default filters, as a command line run has them
+    @pytest.mark.filterwarnings("default::matfrob.jordan.IllConditionedWarning")
+    @pytest.mark.parametrize("out", [False, True])
+    def test_condition_warning_is_one_line(self, tmp_path, capsys, out):
+        # condition 2e7 is warned of, not refused: one stderr line, with no
+        # source path or source line, and the document and exit code as ever
+        spec = {
+            "real_blocks": [{"lambda": 2}, {"lambda": 1}],
+            "transform": [[1, 1], [0, 1e-7]],
+        }
+        path = tmp_path / "out.json"
+        argv = ["synthesize", write_spec(tmp_path, spec)]
+        code = main(argv + ["--out", str(path)] if out else argv)
+        captured = capsys.readouterr()
+        warning = (
+            "warning: transform condition estimate 2.000e+07 exceeds 1e+06; "
+            "results may lose up to that many digits\n"
+        )
+        report = "transform condition estimate: 2.000000e+07\n"
+        document = '{"name": "synthesized", "rows": [[2.0, -10000000.0], [0.0, 1.0]]}\n'
+        assert code == 0
+        if out:
+            assert (captured.out, captured.err) == (report, warning)
+            assert path.read_text() == document
+        else:
+            assert (captured.out, captured.err) == (document, warning + report)
 
 
 class TestOptionValues:

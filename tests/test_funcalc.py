@@ -30,14 +30,15 @@ from matfrob.funcalc import (
     func_jordan_block,
     func_real_jordan_block,
 )
-from matfrob.jordan import RealJordanFactors, block_diag
+from matfrob.jordan import RealJordanFactors
 from matfrob.sampling import random_orthogonal, random_pf_factors
 
 from helpers import (
     MatmulRecorder,
     assert_multiset_close,
-    jordan_block,
     differentiable_catalogue,
+    direct_sum,
+    jordan_block,
     random_domain_points,
     spec_at,
     split_double_eigenvalue_matrix,
@@ -390,7 +391,7 @@ def pair_transport(f, lam, size):
     order = [t for i in range(size) for t in (i, size + i)]
     p = np.eye(2 * size)[order]
     w = np.kron(np.eye(size), s) @ p
-    bd = block_diag([
+    bd = direct_sum([
         func_jordan_block(row(f, lam, size), size),
         func_jordan_block(row(f, np.conj(lam), size), size),
     ])
@@ -521,7 +522,7 @@ class TestMatrixFunction:
             blocks.append(np.eye(n)[::-1])
         for _, n in spec.complex_blocks:
             blocks.append(np.kron(np.eye(n)[::-1], np.diag([1.0, -1.0])))
-        q = block_diag(blocks)
+        q = direct_sum(blocks)
         rt = np.linalg.inv(factors.transform).T @ q
         factors_t = type(factors)(spec, rt, np.linalg.inv(rt))
         a = factors.reconstruct()
@@ -564,15 +565,20 @@ class TestRealAssembly:
 
     @pytest.fixture
     def products(self, monkeypatch):
-        """Records the products of every J and f(J) jordan lays out; a test
-        clears it after synthesis, so it holds matrix_function's alone."""
+        """Records the products of every J and f(J) _assemble_blocks lays out,
+        whether reconstruct (jordan) or matrix_function (funcalc) calls it; a
+        test clears it after synthesis, so it holds matrix_function's alone."""
+        import matfrob.funcalc
         import matfrob.jordan
 
-        def recording_block_diag(blocks):
-            return block_diag(blocks).view(MatmulRecorder)
+        assemble = matfrob.jordan._assemble_blocks
+
+        def recording(spec, row):
+            return assemble(spec, row).view(MatmulRecorder)
 
         MatmulRecorder.dtypes = []
-        monkeypatch.setattr(matfrob.jordan, "block_diag", recording_block_diag)
+        for module in (matfrob.jordan, matfrob.funcalc):
+            monkeypatch.setattr(module, "_assemble_blocks", recording)
         return MatmulRecorder.dtypes
 
     @pytest.mark.parametrize("f", [Exp(), Monomial(3), PrincipalRoot(3)])

@@ -8,7 +8,6 @@ from matfrob import (
     JordanSpec,
     Monomial,
     PreconditionError,
-    SingularMatrixError,
     extract_diagonalizable_structure,
     matrix_function,
     synthesize_matrix,
@@ -16,9 +15,8 @@ from matfrob import (
 from matfrob.core import eigen_decompose, mat_inverse
 from matfrob.jordan import (
     RealJordanFactors,
+    _assemble_blocks,
     _cluster_indices,
-    assemble_real_jordan,
-    block_diag,
     func_jordan_block,
     func_real_jordan_block,
 )
@@ -28,6 +26,7 @@ from helpers import (
     assert_multiset_close,
     bitwise_equal,
     count_svd_calls,
+    direct_sum,
     jordan_block,
     reference_extraction_layout,
     split_double_eigenvalue_matrix,
@@ -36,9 +35,15 @@ from helpers import (
 B = np.array([[2.0, 1.0], [2.0, -1.0]])
 
 
+def real_jordan(spec):
+    """J as RealJordanFactors.reconstruct lays it out: f(J) at f(z) = z,
+    from the rows (lam, 1)."""
+    return _assemble_blocks(spec, lambda lam: (lam, 1.0))
+
+
 def real_jordan_block(lam, size):
     """J of the spec with one pair block: the pair's real Jordan block."""
-    return assemble_real_jordan(JordanSpec(complex_blocks=((lam, size),)))
+    return real_jordan(JordanSpec(complex_blocks=((lam, size),)))
 
 
 def reference_real_jordan(spec):
@@ -98,10 +103,6 @@ class TestBuilders:
         with pytest.raises(ValueError, match="^block size must be at least 1, got 0$"):
             builder((1.0,), 0)
 
-    def test_block_diag_needs_a_block(self):
-        with pytest.raises(ValueError, match="^need at least one block$"):
-            block_diag([])
-
     def test_pair_block_of_one_entry(self):
         got = func_real_jordan_block((1 + 2j,), 1)
         np.testing.assert_array_equal(got, [[1, 2], [-2, 1]])
@@ -160,7 +161,7 @@ class TestBuilders:
     def test_real_jordan_block_char_poly(self, re, im, size):
         # same characteristic polynomial as the complex pair of Jordan blocks
         lam = complex(re, im)
-        pair = block_diag([jordan_block(lam, size), jordan_block(np.conj(lam), size)])
+        pair = direct_sum([jordan_block(lam, size), jordan_block(np.conj(lam), size)])
         c1 = np.poly(real_jordan_block(lam, size))
         c2 = np.poly(pair)
         scale = max(1.0, np.max(np.abs(c2)))
@@ -173,7 +174,7 @@ class TestOneBuilder:
     @given(spec=SPECS)
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_j_matches_the_definition_bit_for_bit(self, spec):
-        got = assemble_real_jordan(spec)
+        got = real_jordan(spec)
         expected = reference_real_jordan(spec)
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)
@@ -200,7 +201,7 @@ class TestOneBuilder:
     def test_blocks_past_171_factorial_build_bit_for_bit(self, spec):
         # 171! is beyond float64, so J's builders must stop at the row's end
         expected = reference_real_jordan(spec)
-        got = assemble_real_jordan(spec)
+        got = real_jordan(spec)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
         r = random_orthogonal(np.random.default_rng(1), spec.total_dimension)
@@ -271,18 +272,18 @@ class TestAssemble:
     def test_mixed_layout(self):
         spec = JordanSpec(real_blocks=((2.0, 1),), complex_blocks=((1 + 1j, 1),))
         expected = [[2, 0, 0], [0, 1, 1], [0, -1, 1]]
-        np.testing.assert_array_equal(assemble_real_jordan(spec), expected)
+        np.testing.assert_array_equal(real_jordan(spec), expected)
 
     def test_block_order_preserved(self):
         spec = JordanSpec(real_blocks=((5.0, 1), (-3.0, 2)))
-        j = assemble_real_jordan(spec)
+        j = real_jordan(spec)
         assert j[0, 0] == 5.0
         assert j[1, 1] == j[2, 2] == -3.0
         assert j[1, 2] == 1.0
 
     def test_output_is_real(self):
         spec = JordanSpec(complex_blocks=((2 + 1j, 2),))
-        j = assemble_real_jordan(spec)
+        j = real_jordan(spec)
         assert j.dtype == np.float64
 
 
@@ -310,7 +311,7 @@ class TestSynthesize:
 
     def test_singular_transform(self):
         spec = JordanSpec(real_blocks=((2.0, 2),))
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(PreconditionError, match="^transform is singular in"):
             synthesize_matrix(spec, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("c", [1e-10, 1e-200])
@@ -326,7 +327,7 @@ class TestSynthesize:
     def test_subnormal_transform_is_singular(self):
         # its inverse, 1e310 * [[1, 1], [1, -1]] / 2, overflows float64
         spec = JordanSpec(real_blocks=((2.0, 1), (-1.0, 1)))
-        with pytest.raises(SingularMatrixError, match="singular in float64"):
+        with pytest.raises(PreconditionError, match="singular in float64"):
             synthesize_matrix(spec, 1e-310 * np.array([[1.0, 1.0], [1.0, -1.0]]))
 
     def test_overflowing_matrix_refused(self):
@@ -461,7 +462,9 @@ class TestExtract:
         import matfrob.jordan
 
         def singular(a):
-            raise SingularMatrixError("smallest singular value 0")
+            raise PreconditionError(
+                "matrix is singular to tolerance (smallest singular value 0.000e+00)"
+            )
 
         monkeypatch.setattr(matfrob.jordan, "mat_inverse", singular)
         with pytest.raises(
@@ -471,6 +474,22 @@ class TestExtract:
             "synthesize_matrix instead.",
         ):
             extract_diagonalizable_structure(B)
+
+    def test_reconstruction_residual_refused(self, monkeypatch):
+        # the last refusal: factors whose A = R J R^-1 misses the input by
+        # more than 1e-6 * ||A||_inf (here 3e-6), forced by an offset of 1e-3
+        reconstruct = RealJordanFactors.reconstruct
+        monkeypatch.setattr(
+            RealJordanFactors, "reconstruct", lambda self: reconstruct(self) + 1e-3
+        )
+        with pytest.raises(PreconditionError) as exc:
+            extract_diagonalizable_structure(B)
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == (
+            "diagonalizable reconstruction residual 2.000e-03 exceeds 3.000e-06; "
+            "the matrix is too close to defective. Build it from explicit "
+            "factors via synthesize_matrix instead."
+        )
 
     def test_layout_is_the_reference_bit_for_bit(self):
         # the spec, every column of R in order, and R^-1, against the reference

@@ -16,7 +16,6 @@ README = ROOT / "README.md"
 EXPORTED = {
     "Tolerance",
     "MatFrobError",
-    "SingularMatrixError",
     "PreconditionError",
     "JordanSpec",
     "RealJordanFactors",
@@ -47,7 +46,6 @@ SUBMODULE_ONLY = {
     "eigen_decompose": "core",
     "mat_inverse": "core",
     "condition_estimate": "core",
-    "assemble_real_jordan": "jordan",
     "func_jordan_block": "jordan",
     "func_real_jordan_block": "jordan",
     "defined_on_spectrum": "funcalc",
@@ -60,6 +58,7 @@ SUBMODULE_ONLY = {
 
 # failures no caller told apart, folded into the class a caller catches
 FOLDED = {
+    "SingularMatrixError": "core",
     "DimensionMismatchError": "core",
     "SolverConvergenceError": "core",
     "DefectiveMatrixError": "jordan",
@@ -81,12 +80,12 @@ def _exported_subclasses(base):
 
 
 def test_all_is_exactly_the_exported_names():
-    assert len(matfrob.__all__) == len(EXPORTED) == 25
+    assert len(matfrob.__all__) == len(EXPORTED) == 24
     assert set(matfrob.__all__) == EXPORTED
     for name in matfrob.__all__:
         assert getattr(matfrob, name) is not None, name
     # warnings are Exceptions too
-    assert len(_exported_subclasses(Exception)) == 6
+    assert len(_exported_subclasses(Exception)) == 5
     for name, module in FOLDED.items():
         assert not hasattr(importlib.import_module(f"matfrob.{module}"), name), name
 
@@ -106,7 +105,7 @@ def test_each_exported_error_is_caught_somewhere():
     # an exported error class is worth its name only if a caller branches
     # on it; one that nothing catches belongs in the class it would fall to
     errors = set(_exported_subclasses(matfrob.MatFrobError)) - {"MatFrobError"}
-    assert len(errors) == 4
+    assert len(errors) == 3
     assert errors <= _caught_names()
 
 
@@ -144,15 +143,18 @@ def test_submodule_names_are_not_exported():
         assert not hasattr(matfrob, name), name
         assert hasattr(importlib.import_module(f"matfrob.{module}"), name), name
     assert not hasattr(matfrob, "derivative_reality_check")
-    # J is f(J) at f(z) = z, laid out by the same block builders
+    # J is f(J) at f(z) = z, laid out by reconstruct through the function
+    # that lays out f(J), which writes each block into one real array
     from matfrob import jordan
 
     assert not hasattr(jordan, "real_jordan_block")
+    assert not hasattr(jordan, "assemble_real_jordan")
+    assert not hasattr(jordan, "block_diag")
     # a pair block is func_jordan_block's block in real form, with no 2x2 builder
     assert not hasattr(jordan, "rotation_block")
     # only tests read a bare Jordan block, from their helpers
     assert not hasattr(jordan, "jordan_block")
-    assert len(jordan.__all__) == 9
+    assert len(jordan.__all__) == 7
     # conjugate symmetry is one test on f's table, inside funcalc
     from matfrob import funcalc
 
